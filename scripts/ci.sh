@@ -2,11 +2,13 @@
 # The full CI gate: configure + build, the tier1 (seed-protecting) test
 # suite, the perf-regression gate (allocation counters + determinism smoke,
 # including shard-count invariance of `plsim --shards`; nothing
-# wall-clock-sensitive), then the sanitizer matrix over everything — which
-# now drives the sharded thread-per-core runtime end to end under TSan.
+# wall-clock-sensitive), the repository benchmark's output checks, then the
+# sanitizer matrix over everything — which drives the sharded
+# thread-per-core runtime end to end under TSan.
 #
-#   scripts/ci.sh            # tier1 + perf gate + ASan/UBSan/TSan
-#   scripts/ci.sh --fast     # tier1 + perf gate (skip the sanitizer builds)
+#   scripts/ci.sh            # tier1 + perf gate + benchmark checks +
+#                            # ASan/UBSan/TSan
+#   scripts/ci.sh --fast     # tier1 + perf gate (skip the rest)
 #
 # tier2 (stress/property sweeps) runs inside the sanitizer matrix; run it
 # un-instrumented with `ctest -L tier2` when iterating locally.
@@ -28,9 +30,16 @@ echo "=== ci: perf-regression gate ==="
 "${repo_root}/scripts/perf_check.sh"
 
 if [[ "${fast}" == "1" ]]; then
-  echo "=== ci passed (fast mode: sanitizers skipped) ==="
+  echo "=== ci passed (fast mode: benchmark checks and sanitizers skipped) ==="
   exit 0
 fi
+
+# Each workload once with one output check forced to fail, then clean. The
+# routed workload's checks hold the sharded runtime to the sequential
+# service (lookups_match_sequential, transport_matches_sequential) and to
+# a byte-identical re-save of its restored snapshot.
+echo "=== ci: benchmark output checks ==="
+(cd "${repo_root}" && python3 perfbench/test_checks.py)
 
 "${repo_root}/scripts/run_sanitized_tests.sh" "$@"
 

@@ -28,8 +28,10 @@
 # too: tier-1 test_wire/test_snapshot plus the tier-2 test_wire_fuzz
 # corpus (random frames, exhaustive truncations, byte flips, splices,
 # pure garbage) make ASan/UBSan prove the decoder touches no byte outside
-# a corrupt frame, and an end-to-end plsim snapshot/restore scenario
-# below exercises save/load under the sanitizers.
+# a corrupt frame, the tier-2 test_snapshot_fuzz loads every single-byte
+# flip of the golden snapshot under a per-load time limit, and an
+# end-to-end plsim snapshot/restore scenario below exercises save/load
+# under the sanitizers.
 #
 #   scripts/run_sanitized_tests.sh [extra ctest args...]
 set -euo pipefail

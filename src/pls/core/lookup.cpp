@@ -1,10 +1,11 @@
 #include "pls/core/lookup.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "pls/common/check.hpp"
-#include "pls/common/flat_map.hpp"
+#include "pls/common/small_map.hpp"
 
 namespace pls::core {
 
@@ -60,12 +61,53 @@ namespace {
 
 enum class QueryState { kAnswered, kNoReply, kBudgetExhausted };
 
+/// The client's dedup set: inline for answers of up to 32 entries, so a
+/// lookup with t <= 32 never touches the heap for it.
+using SeenSet = SmallSet<Entry, 32>;
+
+/// Reserves the answer once instead of growing it one push at a time. The
+/// reservation is capped so that an absurd t cannot reserve unbounded
+/// memory; answers beyond the cap grow as needed.
+void reserve_answer(LookupResult& out, std::size_t t) {
+  constexpr std::size_t kMaxReserve = 256;
+  out.entries.reserve(std::min(t, kMaxReserve));
+}
+
+/// The up list in the order a random-order client contacts it: a copy of
+/// FailureState's cached list, shuffled in place. The copy lives on the
+/// stack for up to kInline servers, so those lookups allocate nothing for
+/// it; larger clusters copy to the heap.
+class ShuffledUp {
+ public:
+  ShuffledUp(std::span<const ServerId> up, Rng& rng) {
+    if (up.size() <= inline_.size()) {
+      order_ = std::span<ServerId>(inline_.data(), up.size());
+    } else {
+      heap_.resize(up.size());
+      order_ = heap_;
+    }
+    std::copy(up.begin(), up.end(), order_.begin());
+    rng.shuffle(order_);
+  }
+  ShuffledUp(const ShuffledUp&) = delete;
+  ShuffledUp& operator=(const ShuffledUp&) = delete;
+
+  auto begin() const noexcept { return order_.begin(); }
+  auto end() const noexcept { return order_.end(); }
+
+ private:
+  static constexpr std::size_t kInline = 64;
+  std::array<ServerId, kInline> inline_{};
+  std::vector<ServerId> heap_;
+  std::span<ServerId> order_;
+};
+
 /// Sends a LookupRequest to `target` under `policy` (capped by the
 /// remaining per-lookup attempt budget), merging distinct entries into
 /// `out` and charging the attempt accounting.
 QueryState query_one(net::ClusterView& net, ServerId target, std::size_t t,
                      const net::RetryPolicy& policy,
-                     std::uint32_t& budget_left, FlatSet<Entry>& seen,
+                     std::uint32_t& budget_left, SeenSet& seen,
                      LookupResult& out) {
   std::uint32_t cap = policy.max_attempts;
   if (policy.attempt_budget > 0) {
@@ -101,7 +143,7 @@ LookupResult single_server_lookup(net::ClusterView net, Rng& rng,
                                   std::size_t t,
                                   const net::RetryPolicy& policy) {
   LookupResult out;
-  const auto up = net.failures().up_servers();
+  const auto up = net.failures().up();
   if (up.empty()) {
     out.finalize(t, false, false);
     return out;
@@ -109,7 +151,8 @@ LookupResult single_server_lookup(net::ClusterView net, Rng& rng,
   // "Select a random server; if it has failed keep selecting until an
   // operational one is found" — equivalent to uniform over the up set.
   const ServerId target = up[rng.uniform(up.size())];
-  FlatSet<Entry> seen;
+  reserve_answer(out, t);
+  SeenSet seen;
   std::uint32_t budget = policy.attempt_budget;
   const auto state = query_one(net, target, t, policy, budget, seen, out);
   out.finalize(t, state == QueryState::kBudgetExhausted,
@@ -121,16 +164,16 @@ LookupResult random_order_lookup(net::ClusterView net, Rng& rng,
                                  std::size_t t,
                                  const net::RetryPolicy& policy) {
   LookupResult out;
-  auto up = net.failures().up_servers();
-  if (up.empty()) {
+  if (net.failures().up().empty()) {
     out.finalize(t, false, false);
     return out;
   }
-  rng.shuffle(std::span<ServerId>(up));
-  FlatSet<Entry> seen;
+  const ShuffledUp order(net.failures().up(), rng);
+  reserve_answer(out, t);
+  SeenSet seen;
   std::uint32_t budget = policy.attempt_budget;
   bool budget_out = false, gave_up = false;
-  for (ServerId target : up) {
+  for (ServerId target : order) {
     const auto state = query_one(net, target, t, policy, budget, seen, out);
     if (state == QueryState::kBudgetExhausted) {
       budget_out = true;
@@ -157,7 +200,7 @@ LookupResult subset_lookup(net::ClusterView net, Rng& rng, std::size_t t,
     }
   }
   rng.shuffle(std::span<ServerId>(order));
-  FlatSet<Entry> seen;
+  SeenSet seen;
   std::uint32_t budget = policy.attempt_budget;
   bool budget_out = false, gave_up = false;
   for (ServerId target : order) {
@@ -176,12 +219,11 @@ LookupResult subset_lookup(net::ClusterView net, Rng& rng, std::size_t t,
 LookupResult exhaustive_lookup(net::ClusterView net, Rng& rng,
                                const net::RetryPolicy& policy) {
   LookupResult out;
-  auto up = net.failures().up_servers();
-  rng.shuffle(std::span<ServerId>(up));
-  FlatSet<Entry> seen;
+  const ShuffledUp order(net.failures().up(), rng);
+  SeenSet seen;
   std::uint32_t budget = policy.attempt_budget;
   bool budget_out = false, gave_up = false;
-  for (ServerId target : up) {
+  for (ServerId target : order) {
     const auto state =
         query_one(net, target, std::numeric_limits<std::uint32_t>::max(),
                   policy, budget, seen, out);
@@ -202,21 +244,23 @@ LookupResult stride_order_lookup(net::ClusterView net, Rng& rng,
                                  const net::RetryPolicy& policy) {
   PLS_CHECK_MSG(stride > 0, "stride must be positive");
   LookupResult out;
-  const std::size_t n = net.size();
-  const auto up = net.failures().up_servers();
+  // A lookup changes no server state, so the cached up list stays valid for
+  // the whole walk.
+  const auto up = net.failures().up();
   if (up.empty()) {
     out.finalize(t, false, false);
     return out;
   }
 
-  std::vector<bool> asked(n, false);
+  reserve_answer(out, t);
+  SmallSet<ServerId, 16> asked;
   std::size_t asked_up = 0;
-  FlatSet<Entry> seen;
+  SeenSet seen;
   std::uint32_t budget = policy.attempt_budget;
   bool budget_out = false, gave_up = false;
 
   auto ask = [&](ServerId target) {
-    asked[target] = true;
+    asked.insert(target);
     if (net.is_up(target)) {
       // Counted as asked even when it never answers: the client spent its
       // retry allowance on it and moves on (degraded mode).
@@ -230,16 +274,23 @@ LookupResult stride_order_lookup(net::ClusterView net, Rng& rng,
   const ServerId start = up[rng.uniform(up.size())];
   ServerId next = start;
   while (out.entries.size() < t && asked_up < up.size() && !budget_out) {
-    if (asked[next] || !net.is_up(next)) {
+    if (asked.contains(next) || !net.is_up(next)) {
       // §3.4: on failures (or once the deterministic sequence wraps onto an
-      // already-asked server) fall back to random operational servers.
-      std::vector<ServerId> remaining;
-      remaining.reserve(up.size() - asked_up);
+      // already-asked server) fall back to random operational servers: a
+      // uniform pick among the unasked ones, taken as the k-th in up-list
+      // order so that no candidate list is allocated.
+      std::size_t remaining = 0;
       for (ServerId s : up) {
-        if (!asked[s]) remaining.push_back(s);
+        if (!asked.contains(s)) ++remaining;
       }
-      if (remaining.empty()) break;
-      ask(remaining[rng.uniform(remaining.size())]);
+      if (remaining == 0) break;
+      std::size_t k = rng.uniform(remaining);
+      for (ServerId s : up) {
+        if (!asked.contains(s) && k-- == 0) {
+          ask(s);
+          break;
+        }
+      }
     } else {
       ask(next);
     }

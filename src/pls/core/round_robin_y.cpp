@@ -64,19 +64,26 @@ void RoundRobinServer::load_state(wire::Reader& r) {
   entry_at_slot_.clear();
   migrations_.clear();
   live_.clear();
-  const std::uint64_t slots = r.varint();
-  PLS_CHECK_MSG(r.ok(), "truncated RoundRobin tenant snapshot");
-  for (std::uint64_t i = 0; i < slots; ++i) {
+  // Every count below is untrusted: it must fit the bytes left, at the
+  // least bytes per record, before any loop runs on it.
+  const auto count = [&r](std::size_t min_record_bytes) {
+    const std::uint64_t n = r.varint();
+    PLS_CHECK_MSG(r.ok() && n <= r.remaining() / min_record_bytes,
+                  "truncated RoundRobin tenant snapshot");
+    return n;
+  };
+  const std::uint64_t slots = count(2);
+  for (std::uint64_t i = 0; i < slots && r.ok(); ++i) {
     const Entry v = r.varint();
     slot_of_.insert_or_assign(v, r.varint());
   }
-  const std::uint64_t at_slot = r.varint();
-  for (std::uint64_t i = 0; i < at_slot; ++i) {
+  const std::uint64_t at_slot = count(2);
+  for (std::uint64_t i = 0; i < at_slot && r.ok(); ++i) {
     const std::uint64_t slot = r.varint();
     entry_at_slot_.insert_or_assign(slot, r.varint());
   }
-  const std::uint64_t migrations = r.varint();
-  for (std::uint64_t i = 0; i < migrations; ++i) {
+  const std::uint64_t migrations = count(4);
+  for (std::uint64_t i = 0; i < migrations && r.ok(); ++i) {
     const Entry v = r.varint();
     MigrationState m;
     m.requests = static_cast<std::size_t>(r.varint());
@@ -86,8 +93,8 @@ void RoundRobinServer::load_state(wire::Reader& r) {
   }
   head_ = r.varint();
   tail_ = r.varint();
-  const std::uint64_t live = r.varint();
-  for (std::uint64_t i = 0; i < live; ++i) live_.insert(r.varint());
+  const std::uint64_t live = count(1);
+  for (std::uint64_t i = 0; i < live && r.ok(); ++i) live_.insert(r.varint());
   PLS_CHECK_MSG(r.ok(), "truncated RoundRobin tenant snapshot");
 }
 

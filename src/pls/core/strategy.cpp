@@ -90,11 +90,12 @@ void StrategyServer::save_state(wire::Writer& w) const {
 
 void StrategyServer::load_state(wire::Reader& r) {
   load_rng(r, rng_);
+  // An untrusted count: each entry is a varint of at least one byte.
   const std::uint64_t n = r.varint();
-  PLS_CHECK_MSG(r.ok(), "truncated tenant snapshot");
+  PLS_CHECK_MSG(r.ok() && n <= r.remaining(), "truncated tenant snapshot");
   std::vector<Entry> entries;
   entries.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) entries.push_back(r.varint());
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) entries.push_back(r.varint());
   PLS_CHECK_MSG(r.ok(), "truncated tenant snapshot");
   // assign() re-inserts in the saved iteration order, so the restored
   // store's entries() span — and thus sample_into's draw order — matches.

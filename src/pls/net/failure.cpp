@@ -5,9 +5,10 @@
 namespace pls::net {
 
 FailureState::FailureState(std::size_t num_servers)
-    : state_(num_servers, ServerState::kUp), up_count_(num_servers) {
+    : state_(num_servers, ServerState::kUp) {
   PLS_CHECK_MSG(num_servers > 0, "a cluster needs at least one server");
   rebuild_members();
+  rebuild_up();
 }
 
 void FailureState::rebuild_members() {
@@ -19,6 +20,14 @@ void FailureState::rebuild_members() {
       member_rank_[i] = members_.size();
       members_.push_back(static_cast<ServerId>(i));
     }
+  }
+}
+
+void FailureState::rebuild_up() {
+  up_.clear();
+  up_.reserve(state_.size());
+  for (std::size_t i = 0; i < state_.size(); ++i) {
+    if (state_[i] == ServerState::kUp) up_.push_back(static_cast<ServerId>(i));
   }
 }
 
@@ -41,8 +50,8 @@ void FailureState::fail(ServerId s) {
   PLS_CHECK(s < state_.size());
   if (state_[s] == ServerState::kUp) {
     state_[s] = ServerState::kDown;
-    --up_count_;
     ++epoch_;
+    rebuild_up();
   }
 }
 
@@ -50,28 +59,28 @@ void FailureState::recover(ServerId s) {
   PLS_CHECK(s < state_.size());
   if (state_[s] == ServerState::kDown) {
     state_[s] = ServerState::kUp;
-    ++up_count_;
     ++epoch_;
+    rebuild_up();
   }
 }
 
-void FailureState::recover_all() noexcept {
+void FailureState::recover_all() {
   for (auto& st : state_) {
     if (st == ServerState::kDown) {
       st = ServerState::kUp;
-      ++up_count_;
       ++epoch_;
     }
   }
+  rebuild_up();
 }
 
 ServerId FailureState::add_server() {
   const auto id = static_cast<ServerId>(state_.size());
   state_.push_back(ServerState::kUp);
-  ++up_count_;
   ++epoch_;
   member_rank_.push_back(members_.size());
   members_.push_back(id);
+  up_.push_back(id);  // the largest id, so the list stays ascending
   return id;
 }
 
@@ -79,10 +88,10 @@ void FailureState::mark_gone(ServerId s) {
   PLS_CHECK(s < state_.size());
   PLS_CHECK_MSG(state_[s] != ServerState::kGone, "server already gone");
   PLS_CHECK_MSG(members_.size() > 1, "cannot remove the last member");
-  if (state_[s] == ServerState::kUp) --up_count_;
   state_[s] = ServerState::kGone;
   ++epoch_;
   rebuild_members();
+  rebuild_up();
 }
 
 void FailureState::restore(std::span<const ServerState> states,
@@ -90,21 +99,13 @@ void FailureState::restore(std::span<const ServerState> states,
   PLS_CHECK_MSG(states.size() == state_.size(),
                 "restore must cover exactly the allocated server ids");
   state_.assign(states.begin(), states.end());
-  up_count_ = 0;
-  for (const auto st : state_) {
-    if (st == ServerState::kUp) ++up_count_;
-  }
   epoch_ = epoch;
   rebuild_members();
+  rebuild_up();
 }
 
 std::vector<ServerId> FailureState::up_servers() const {
-  std::vector<ServerId> out;
-  out.reserve(up_count_);
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    if (state_[i] == ServerState::kUp) out.push_back(static_cast<ServerId>(i));
-  }
-  return out;
+  return std::vector<ServerId>(up_.begin(), up_.end());
 }
 
 std::vector<ServerId> FailureState::down_servers() const {

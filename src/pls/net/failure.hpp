@@ -16,7 +16,9 @@
 //
 // Every state transition bumps a monotonically increasing change epoch, so
 // background processes (repair scans, strategies) can early-out when
-// nothing changed since their last look.
+// nothing changed since their last look. The *up list* (all operational
+// ids, ascending) is cached the same way and refreshed on every state
+// change, so a lookup client reads it without building a vector.
 #pragma once
 
 #include <cstddef>
@@ -45,12 +47,12 @@ class FailureState {
   bool is_up(ServerId s) const;
   /// True for up and down servers; false for gone ones.
   bool is_member(ServerId s) const;
-  std::size_t up_count() const noexcept { return up_count_; }
+  std::size_t up_count() const noexcept { return up_.size(); }
 
   void fail(ServerId s);
   void recover(ServerId s);
   /// Recovers every down server. Gone servers stay gone.
-  void recover_all() noexcept;
+  void recover_all();
 
   /// Registers a new member and returns its id (ids are dense and never
   /// reused, so the new id always equals the previous size()).
@@ -61,7 +63,8 @@ class FailureState {
   void mark_gone(ServerId s);
 
   /// Snapshot restore: overwrites the whole lifecycle state — per-server
-  /// states and the change epoch — and rebuilds the cached member list.
+  /// states and the change epoch — and rebuilds the cached member and up
+  /// lists.
   /// `states` must match size() (ids are never reused, so a restored
   /// cluster has exactly the hosts the saved one had).
   void restore(std::span<const ServerState> states, std::uint64_t epoch);
@@ -71,7 +74,10 @@ class FailureState {
   /// lifecycle event happened in between — the early-out for repair scans.
   std::uint64_t epoch() const noexcept { return epoch_; }
 
-  /// Ids of all currently operational servers, ascending.
+  /// Ids of all currently operational servers, ascending. The span is
+  /// cached and allocation-free; it is invalidated by the next state change.
+  std::span<const ServerId> up() const noexcept { return up_; }
+  /// An owning copy of up().
   std::vector<ServerId> up_servers() const;
   /// Ids of all transiently-down servers, ascending (gone excluded).
   std::vector<ServerId> down_servers() const;
@@ -85,12 +91,13 @@ class FailureState {
 
  private:
   void rebuild_members();
+  void rebuild_up();
 
   std::vector<ServerState> state_;
-  std::size_t up_count_;
   std::uint64_t epoch_ = 0;
   std::vector<ServerId> members_;        ///< non-gone ids, ascending
   std::vector<std::size_t> member_rank_;  ///< id -> rank (undefined if gone)
+  std::vector<ServerId> up_;             ///< up ids, ascending
 };
 
 std::shared_ptr<FailureState> make_failure_state(std::size_t num_servers);

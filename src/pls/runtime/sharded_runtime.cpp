@@ -1,6 +1,7 @@
 #include "pls/runtime/sharded_runtime.hpp"
 
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "pls/common/check.hpp"
@@ -30,9 +31,12 @@ struct ShardedRuntime::ShardOp {
   };
 
   Kind kind = Kind::kLookup;
-  /// Points into the control plane's intern store (stable for the
-  /// runtime's lifetime); null for key-less control ops.
+  /// Points into the control plane's route table (stable until
+  /// load_snapshot clears it, which drains first); null for key-less
+  /// control ops. Read by the worker only to resolve a route on first touch.
   const Key* key = nullptr;
+  /// The key's dense route index on the owning shard.
+  std::uint32_t route = 0;
   Entry value = 0;
   std::size_t t = 0;
   ServerId server = kInvalidServer;
@@ -65,6 +69,11 @@ struct ShardedRuntime::Shard {
   metrics::ShardLookupCounters totals;
   /// Indexed by this shard's dense (shard-local) KeyId.
   std::vector<metrics::ShardLookupCounters> per_key;
+  /// Route index -> shard-local KeyId, kUnresolved until the key first
+  /// exists here (worker-thread state; see resolve()).
+  std::vector<KeyId> key_ids;
+  /// Route indices handed out for this shard (control-thread state).
+  std::uint32_t routes = 0;
   /// Control-thread submission count; never touched by the worker.
   std::uint64_t submitted = 0;
   /// Highest queue occupancy seen at submission (control-thread state).
@@ -113,9 +122,15 @@ std::size_t ShardedRuntime::shard_of(const Key& key) const noexcept {
   return shard_of_key(key, shards_.size());
 }
 
-const Key* ShardedRuntime::intern(const Key& key, std::size_t shard) {
-  const auto [it, inserted] = keys_.try_emplace(key, shard);
-  return &it->first;
+std::size_t ShardedRuntime::route(const Key& key, ShardOp& op) {
+  const auto [it, inserted] = keys_.try_emplace(key);
+  if (inserted) {
+    const std::size_t s = shard_of(key);
+    it->second = Route{static_cast<std::uint32_t>(s), shards_[s]->routes++};
+  }
+  op.key = &it->first;
+  op.route = it->second.index;
+  return it->second.shard;
 }
 
 void ShardedRuntime::push(std::size_t shard, ShardOp&& op) {
@@ -140,39 +155,31 @@ void ShardedRuntime::broadcast(const ShardOp& proto) {
 // --- data plane -----------------------------------------------------------
 
 void ShardedRuntime::place(const Key& key, std::span<const Entry> entries) {
-  const std::size_t s = shard_of(key);
   ShardOp op;
   op.kind = ShardOp::Kind::kPlace;
-  op.key = intern(key, s);
   op.entries.assign(entries.begin(), entries.end());
-  push(s, std::move(op));
+  push(route(key, op), std::move(op));
 }
 
 void ShardedRuntime::add(const Key& key, Entry v) {
-  const std::size_t s = shard_of(key);
   ShardOp op;
   op.kind = ShardOp::Kind::kAdd;
-  op.key = intern(key, s);
   op.value = v;
-  push(s, std::move(op));
+  push(route(key, op), std::move(op));
 }
 
 void ShardedRuntime::erase(const Key& key, Entry v) {
-  const std::size_t s = shard_of(key);
   ShardOp op;
   op.kind = ShardOp::Kind::kErase;
-  op.key = intern(key, s);
   op.value = v;
-  push(s, std::move(op));
+  push(route(key, op), std::move(op));
 }
 
 void ShardedRuntime::lookup(const Key& key, std::size_t t) {
-  const std::size_t s = shard_of(key);
   ShardOp op;
   op.kind = ShardOp::Kind::kLookup;
-  op.key = intern(key, s);
   op.t = t;
-  push(s, std::move(op));
+  push(route(key, op), std::move(op));
 }
 
 // --- control plane --------------------------------------------------------
@@ -243,6 +250,9 @@ void ShardedRuntime::run_on_shards(
 // --- worker ---------------------------------------------------------------
 
 namespace {
+
+constexpr KeyId kUnresolved = std::numeric_limits<KeyId>::max();
+
 /// Registers tenants interned since the last sync as repair targets and
 /// grows the per-key counter table. Called (on the worker thread) after
 /// any op that can intern a key.
@@ -257,6 +267,24 @@ void sync_tenants_impl(core::PartialLookupService& svc,
   if (per_key.size() < svc.num_keys()) per_key.resize(svc.num_keys());
 }
 }  // namespace
+
+std::optional<KeyId> ShardedRuntime::resolve(Shard& shard, const ShardOp& op,
+                                             bool create) {
+  if (op.route >= shard.key_ids.size()) {
+    shard.key_ids.resize(op.route + std::size_t{1}, kUnresolved);
+  }
+  KeyId& id = shard.key_ids[op.route];
+  if (id == kUnresolved) {
+    if (create) {
+      id = shard.service->intern_key(*op.key);
+    } else if (const auto found = shard.service->key_id(*op.key)) {
+      id = *found;
+    } else {
+      return std::nullopt;
+    }
+  }
+  return id;
+}
 
 void ShardedRuntime::worker_loop(Shard& shard) {
   // Empty polls a worker tolerates before trading the yield loop for a
@@ -288,28 +316,34 @@ void ShardedRuntime::worker_loop(Shard& shard) {
 void ShardedRuntime::execute(Shard& shard, ShardOp& op) {
   core::PartialLookupService& svc = *shard.service;
   switch (op.kind) {
+    // The data-plane ops run by KeyId, exactly as the service's string API
+    // would after its own name lookup.
     case ShardOp::Kind::kPlace:
-      svc.place(*op.key, op.entries);
+      svc.strategy_at(*resolve(shard, op, true)).place(op.entries);
       sync_tenants_impl(svc, shard.repair, shard.known_keys, shard.per_key);
       break;
     case ShardOp::Kind::kAdd:
-      svc.add(*op.key, op.value);
+      svc.strategy_at(*resolve(shard, op, true)).add(op.value);
       sync_tenants_impl(svc, shard.repair, shard.known_keys, shard.per_key);
       break;
     case ShardOp::Kind::kErase:
-      svc.erase(*op.key, op.value);
+      // Deleting from an unknown key is a no-op.
+      if (const auto id = resolve(shard, op, false)) {
+        svc.strategy_at(*id).erase(op.value);
+      }
       break;
     case ShardOp::Kind::kLookup: {
-      const core::LookupResult r = svc.partial_lookup(*op.key, op.t);
+      // An unknown key is §2's empty answer: tallied, never satisfied.
       metrics::ShardLookupCounters delta;
       delta.lookups = 1;
-      delta.satisfied = r.satisfied ? 1 : 0;
-      delta.servers_contacted = r.servers_contacted;
-      delta.entries_returned = r.entries.size();
-      shard.totals.merge(delta);
-      if (const auto id = svc.key_id(*op.key)) {
+      if (const auto id = resolve(shard, op, false)) {
+        const core::LookupResult r = svc.strategy_at(*id).partial_lookup(op.t);
+        delta.satisfied = r.satisfied ? 1 : 0;
+        delta.servers_contacted = r.servers_contacted;
+        delta.entries_returned = r.entries.size();
         shard.per_key[*id].merge(delta);
       }
+      shard.totals.merge(delta);
       break;
     }
     case ShardOp::Kind::kFail:
@@ -433,14 +467,22 @@ std::optional<std::string> ShardedRuntime::load_snapshot(
     // every kTask) then registers the restored tenants as repair targets.
     run_on_shard(s, [this, blob = blobs[s]](std::size_t index,
                                             core::PartialLookupService& svc) {
+      Shard& sh = *shards_[index];
+      // The worker's half of the route table restarts empty: the restore
+      // assigns the KeyIds afresh.
+      sh.key_ids.clear();
       try {
         blob->error = wire::load_service(svc, blob->service);
         if (blob->error.has_value()) return;
-        Shard& sh = *shards_[index];
         wire::Reader er(blob->extras);
         sh.repair->load_state(er);
         load_lookup_counters(er, sh.totals);
+        // Each tally is four varints of at least one byte.
         const std::uint64_t keys = er.varint();
+        if (!er.ok() || keys > er.remaining() / 4) {
+          blob->error = "malformed runtime snapshot (shard extras)";
+          return;
+        }
         sh.per_key.assign(static_cast<std::size_t>(keys),
                           metrics::ShardLookupCounters{});
         for (auto& c : sh.per_key) load_lookup_counters(er, c);
@@ -456,6 +498,11 @@ std::optional<std::string> ShardedRuntime::load_snapshot(
     });
   }
   drain();
+  // The coordinator's half of the route table restarts too: rebuilt below
+  // from the restored replicas, in KeyId order, so that route index i on a
+  // shard names the key its worker resolves to KeyId i.
+  keys_.clear();
+  for (auto& shard : shards_) shard->routes = 0;
   for (const auto& blob : blobs) {
     if (blob->error.has_value()) return blob->error;
   }
@@ -468,13 +515,11 @@ std::optional<std::string> ShardedRuntime::load_snapshot(
     shards_[s]->completed.store(blobs[s]->submitted,
                                 std::memory_order_release);
   }
-  // Rebuild the control-side intern store from the restored shard replicas
-  // (key -> owning shard is pure content routing, but the map also pins
-  // the stable Key instances data-plane ops point into).
-  keys_.clear();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    for (const Key& name : shards_[s]->service->key_names()) {
-      keys_.try_emplace(name, s);
+    Shard& shard = *shards_[s];
+    for (const Key& name : shard.service->key_names()) {
+      keys_.try_emplace(name, Route{static_cast<std::uint32_t>(s),
+                                    shard.routes++});
     }
   }
   return std::nullopt;

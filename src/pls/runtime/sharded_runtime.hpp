@@ -12,7 +12,12 @@
 // writes is shard-private.
 //
 // Control plane vs data plane. Client ops (place/add/erase/lookup) are
-// *routed* to the owning shard's queue; cluster-scoped ops (failures,
+// *routed* to the owning shard's queue. The coordinator resolves a key
+// name once per op, with one probe of its route table; a key seen for the
+// first time gets its owning shard (shard_of_key) and a dense per-shard
+// route index. The op carries that index, and the owning worker maps it to
+// its own KeyId through a worker-private table filled on first touch, so
+// neither side re-hashes the name per op; cluster-scoped ops (failures,
 // membership, repair scans, arbitrary tasks) are *broadcast* to every
 // shard's queue. A shard's queue is strictly FIFO, so every shard
 // observes the same relative order of control ops vs its own data ops as
@@ -168,7 +173,21 @@ class ShardedRuntime {
   struct ShardOp;
   struct Shard;
 
-  const Key* intern(const Key& key, std::size_t shard);
+  /// A key's owning shard and its dense route index on that shard.
+  struct Route {
+    std::uint32_t shard = 0;
+    std::uint32_t index = 0;
+  };
+
+  /// Points `op` at `key`'s intern-store entry and route index, assigning
+  /// both on first sight; returns the owning shard.
+  std::size_t route(const Key& key, ShardOp& op);
+  /// The worker side of a route: the shard-local KeyId behind `op`'s route
+  /// index, resolved on first touch and cached. `create` interns a missing
+  /// key (place/add); otherwise an unknown key yields nullopt and is looked
+  /// up again on its next op.
+  static std::optional<KeyId> resolve(Shard& shard, const ShardOp& op,
+                                      bool create);
   void push(std::size_t shard, ShardOp&& op);
   void broadcast(const ShardOp& proto);
   void worker_loop(Shard& shard);
@@ -176,10 +195,11 @@ class ShardedRuntime {
 
   ShardedRuntimeConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Control-side key intern store: maps a key to its owning shard and
-  /// pins a stable Key instance ops can point into (node-based map —
-  /// references are never invalidated).
-  std::unordered_map<Key, std::size_t> keys_;
+  /// Control-side route table: maps a key to its Route and pins a stable
+  /// Key instance ops can point into (node-based map — references are
+  /// never invalidated). load_snapshot clears it along with the workers'
+  /// tables.
+  std::unordered_map<Key, Route> keys_;
   /// Mirror of the replicated membership history (next add_server id).
   std::size_t num_servers_;
   std::atomic<bool> stop_{false};

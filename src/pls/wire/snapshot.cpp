@@ -94,7 +94,10 @@ void write_membership(Writer& w, const net::FailureState& fs) {
 std::optional<std::string> restore_membership(Reader& r,
                                               net::Cluster& cluster) {
   const std::uint64_t hosts = r.varint();
-  if (!r.ok()) return "truncated snapshot (membership)";
+  // One lifecycle byte per host.
+  if (!r.ok() || hosts > r.remaining()) {
+    return "truncated snapshot (membership)";
+  }
   if (hosts < cluster.size()) {
     return "snapshot has fewer hosts than the cluster it is restored into";
   }

@@ -76,6 +76,28 @@ std::optional<std::string> validate_saturation_options(
   return std::nullopt;
 }
 
+std::optional<std::string> validate_transport_options(
+    const net::LinkModel& link, const net::RetryPolicy& retry) {
+  // Written so that NaN fails every bound.
+  const auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
+  if (!probability(link.drop_probability)) {
+    return "--drop must be a probability in [0, 1]";
+  }
+  if (!probability(link.duplicate_probability)) {
+    return "--dup must be a probability in [0, 1]";
+  }
+  if (retry.max_attempts < 1) {
+    return "--max-attempts must be >= 1";
+  }
+  if (!(retry.base_timeout > 0.0)) {
+    return "--timeout must be > 0";
+  }
+  if (!(retry.backoff_factor >= 1.0)) {
+    return "--backoff must be >= 1";
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> validate_shard_options(
     const ShardCliOptions& options, std::size_t num_keys) {
   if (!options.shards_set) return std::nullopt;

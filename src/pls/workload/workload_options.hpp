@@ -11,6 +11,9 @@
 #include <optional>
 #include <string>
 
+#include "pls/net/link_model.hpp"
+#include "pls/net/retry_policy.hpp"
+
 namespace pls::workload {
 
 /// The saturation-mode slice of plsim's command line. Optional fields are
@@ -41,6 +44,13 @@ struct SaturationCliOptions {
 /// drives the multi-key service and needs at least one key).
 std::optional<std::string> validate_saturation_options(
     const SaturationCliOptions& options, std::size_t num_keys);
+
+/// Validation for the link and retry flags (--drop, --dup, --max-attempts,
+/// --timeout, --backoff): the bounds net::Network enforces, checked up
+/// front so that a bad value is a usage error rather than an abort.
+/// Returns the error message, or nullopt.
+std::optional<std::string> validate_transport_options(
+    const net::LinkModel& link, const net::RetryPolicy& retry);
 
 /// plsim's sharded-execution slice of the command line.
 struct ShardCliOptions {

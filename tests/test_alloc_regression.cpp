@@ -4,13 +4,15 @@
 //
 //   * partial_lookup runs in O(1) heap allocations regardless of how many
 //     servers it contacts — the reply path reuses one pooled buffer and the
-//     dedup set is recycled scratch.
+//     client's scratch lives on the stack — and, at the paper's answer
+//     sizes, in exactly one: its answer.
 //   * broadcast fan-out performs zero payload deep-copies no matter the
 //     cluster size — Message copies only bump the SharedEntries refcount.
 //
 // The thresholds are deliberately loose constants (not exact counts) so the
 // tests survive minor library changes while still failing loudly if a copy
 // or per-server allocation sneaks back into the hot path.
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,6 +95,26 @@ TEST(AllocRegression, PartialLookupAllocatesO1Buffers) {
     EXPECT_LE(large_allocs, 16.0)
         << "allocs/lookup above the O(1) ceiling for "
         << core::to_string(kind);
+  }
+}
+
+TEST(AllocRegression, PartialLookupAllocatesAtMostItsAnswer) {
+  // In steady state a lookup's only heap block is its answer: the up list is
+  // FailureState's cached span, the dedup set and the contact order live on
+  // the stack, and the answer vector is reserved once. Every family, at a
+  // t each family answers from one server and at one that needs several.
+  const std::pair<StrategyKind, std::size_t> families[] = {
+      {StrategyKind::kFullReplication, 1}, {StrategyKind::kFixed, 20},
+      {StrategyKind::kRandomServer, 20},   {StrategyKind::kRoundRobin, 2},
+      {StrategyKind::kHash, 2},            {StrategyKind::kMultiProbe, 2}};
+  for (const auto& [kind, param] : families) {
+    for (const std::size_t t : {std::size_t{5}, std::size_t{15}}) {
+      auto strategy = core::make_strategy(
+          StrategyConfig{.kind = kind, .param = param, .seed = 7}, 8);
+      strategy->place(iota_entries(100));
+      EXPECT_LE(allocs_per_lookup(*strategy, t, 200), 1.0)
+          << core::to_string(kind) << " at t=" << t;
+    }
   }
 }
 

@@ -1,5 +1,5 @@
-// plsim saturation-flag validation: nonsensical combinations must be
-// rejected with a clear message, sensible ones accepted.
+// plsim flag validation: nonsensical combinations and out-of-range values
+// must be rejected with a clear message, sensible ones accepted.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -220,6 +220,64 @@ TEST(PlsimOptions, ProbesMustBeInRange) {
   EXPECT_EQ(validate_strategy_options(o), std::nullopt);
   o.probes = 65;
   EXPECT_TRUE(validate_strategy_options(o));
+}
+
+TEST(PlsimTransportOptions, DefaultsAreValid) {
+  EXPECT_EQ(validate_transport_options({}, {}), std::nullopt);
+}
+
+TEST(PlsimTransportOptions, AcceptsTheEndsOfEachRange) {
+  net::LinkModel link;
+  link.drop_probability = 1.0;
+  link.duplicate_probability = 0.0;
+  net::RetryPolicy retry;
+  retry.max_attempts = 1;
+  retry.backoff_factor = 1.0;
+  EXPECT_EQ(validate_transport_options(link, retry), std::nullopt);
+}
+
+/// The error for one out-of-range field, which must name its flag.
+void expect_rejected(const net::LinkModel& link, const net::RetryPolicy& retry,
+                     const std::string& flag) {
+  const auto err = validate_transport_options(link, retry);
+  ASSERT_TRUE(err) << flag << " accepted";
+  EXPECT_NE(err->find(flag), std::string::npos) << *err;
+}
+
+TEST(PlsimTransportOptions, DropMustBeAProbability) {
+  for (const double p : {-0.5, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    net::LinkModel link;
+    link.drop_probability = p;
+    expect_rejected(link, {}, "--drop");
+  }
+}
+
+TEST(PlsimTransportOptions, DupMustBeAProbability) {
+  for (const double p : {-0.5, 1.5}) {
+    net::LinkModel link;
+    link.duplicate_probability = p;
+    expect_rejected(link, {}, "--dup");
+  }
+}
+
+TEST(PlsimTransportOptions, MaxAttemptsMustBePositive) {
+  net::RetryPolicy retry;
+  retry.max_attempts = 0;
+  expect_rejected({}, retry, "--max-attempts");
+}
+
+TEST(PlsimTransportOptions, TimeoutMustBePositive) {
+  for (const double t : {0.0, -1.0}) {
+    net::RetryPolicy retry;
+    retry.base_timeout = t;
+    expect_rejected({}, retry, "--timeout");
+  }
+}
+
+TEST(PlsimTransportOptions, BackoffMustBeAtLeastOne) {
+  net::RetryPolicy retry;
+  retry.backoff_factor = 0.5;
+  expect_rejected({}, retry, "--backoff");
 }
 
 }  // namespace

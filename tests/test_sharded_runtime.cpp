@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -377,6 +378,172 @@ TEST(ShardedRuntime, UnknownKeysBehaveLikeTheSequentialService) {
   EXPECT_EQ(totals.servers_contacted, 0u);
   EXPECT_EQ(runtime.key_lookup_totals("ghost").lookups, 0u);
   EXPECT_EQ(runtime.key_transport("ghost"), net::TransportStats{});
+}
+
+// --- the route table ------------------------------------------------------
+//
+// The coordinator gives each key a dense route index on its shard; the
+// worker resolves that index to its KeyId on first touch. These cases
+// touch keys in the orders that can leave a route unresolved or stale, and
+// hold the runtime to a sequential service given the same ops.
+
+/// The sequential side of a route-table case: the service plus the tallies
+/// the runtime's workers keep (per key only once the key exists).
+struct SequentialTally {
+  explicit SequentialTally(const core::ServiceConfig& cfg) : service(cfg) {}
+
+  void lookup(const Key& key, std::size_t t) {
+    const bool known = service.contains_key(key);
+    const core::LookupResult r = service.partial_lookup(key, t);
+    metrics::ShardLookupCounters delta;
+    delta.lookups = 1;
+    delta.satisfied = r.satisfied ? 1 : 0;
+    delta.servers_contacted = r.servers_contacted;
+    delta.entries_returned = r.entries.size();
+    totals.merge(delta);
+    if (known) per_key[key].merge(delta);
+  }
+
+  core::PartialLookupService service;
+  metrics::ShardLookupCounters totals;
+  std::map<Key, metrics::ShardLookupCounters> per_key;
+};
+
+void expect_matches(sim::ShardedRuntime& runtime, SequentialTally& seq,
+                    const std::vector<Key>& keys) {
+  for (const Key& key : keys) {
+    EXPECT_EQ(runtime.key_lookup_totals(key), seq.per_key[key]) << key;
+    if (seq.service.contains_key(key)) {
+      EXPECT_EQ(runtime.key_transport(key), seq.service.key_transport(key))
+          << key;
+    }
+  }
+  EXPECT_EQ(runtime.lookup_totals(), seq.totals);
+  EXPECT_EQ(runtime.total_transport(), seq.service.total_transport());
+  EXPECT_EQ(runtime.num_keys(), seq.service.num_keys());
+}
+
+sim::ShardedRuntimeConfig route_config() {
+  sim::ShardedRuntimeConfig rcfg;
+  rcfg.shards = 2;
+  rcfg.service = base_config(core::StrategyKind::kHash, 2, 6, 41);
+  return rcfg;
+}
+
+TEST(ShardedRuntimeRoutes, ResolveAKeyATaskInterned) {
+  const auto rcfg = route_config();
+  sim::ShardedRuntime runtime(rcfg);
+  SequentialTally seq(rcfg.service);
+  const auto keys = make_keys(6);
+  const std::vector<Entry> batch{1, 2, 3, 4, 5, 6, 7};
+
+  // Each key enters its shard through the service's own string API, inside
+  // a task: the runtime first sees its name on the lookups below.
+  for (const Key& key : keys) {
+    seq.service.place(key, batch);
+    runtime.run_on_shard(runtime.shard_of(key),
+                         [key, batch](std::size_t,
+                                      core::PartialLookupService& svc) {
+                           svc.place(key, batch);
+                         });
+  }
+  for (std::size_t i = 0; i < 60; ++i) {
+    seq.lookup(keys[i % keys.size()], 3);
+    runtime.lookup(keys[i % keys.size()], 3);
+  }
+  expect_matches(runtime, seq, keys);
+}
+
+TEST(ShardedRuntimeRoutes, ResolveAKeyLookedUpBeforeItsPlace) {
+  const auto rcfg = route_config();
+  sim::ShardedRuntime runtime(rcfg);
+  SequentialTally seq(rcfg.service);
+  const auto keys = make_keys(6);
+  const std::vector<Entry> batch{10, 20, 30, 40, 50};
+
+  // The first touch of every key is a lookup and an erase of a key that
+  // does not exist yet; the route stays unresolved until the place.
+  for (const Key& key : keys) {
+    seq.lookup(key, 2);
+    runtime.lookup(key, 2);
+    seq.service.erase(key, 10);
+    runtime.erase(key, 10);
+  }
+  EXPECT_EQ(runtime.num_keys(), 0u);
+  for (const Key& key : keys) {
+    seq.service.place(key, batch);
+    runtime.place(key, batch);
+  }
+  for (std::size_t i = 0; i < 60; ++i) {
+    seq.lookup(keys[i % keys.size()], 2);
+    runtime.lookup(keys[i % keys.size()], 2);
+  }
+  expect_matches(runtime, seq, keys);
+}
+
+TEST(ShardedRuntimeRoutes, RestoredRuntimeResolvesKeysTouchedBeforeTheSnapshot) {
+  const auto rcfg = route_config();
+  SequentialTally seq(rcfg.service);
+  auto keys = make_keys(6);
+  const std::vector<Entry> batch{5, 6, 7, 8, 9, 10};
+
+  std::vector<std::uint8_t> snap;
+  {
+    sim::ShardedRuntime original(rcfg);
+    for (const Key& key : keys) {
+      seq.service.place(key, batch);
+      original.place(key, batch);
+    }
+    for (std::size_t i = 0; i < 30; ++i) {
+      seq.lookup(keys[i % keys.size()], 3);
+      original.lookup(keys[i % keys.size()], 3);
+    }
+    // A key the original only looked up: routed, but never interned.
+    seq.lookup("late", 3);
+    original.lookup("late", 3);
+    snap = original.save_snapshot();
+  }
+
+  sim::ShardedRuntime restored(rcfg);
+  ASSERT_EQ(restored.load_snapshot(snap), std::nullopt);
+  keys.push_back("late");
+  seq.service.place("late", batch);
+  restored.place("late", batch);
+  for (std::size_t i = 0; i < 70; ++i) {
+    seq.lookup(keys[i % keys.size()], 3);
+    restored.lookup(keys[i % keys.size()], 3);
+  }
+  expect_matches(restored, seq, keys);
+}
+
+TEST(ShardedRuntimeRoutes, RejectedRestoreLeavesRoutesConsistent) {
+  const auto rcfg = route_config();
+  std::vector<std::uint8_t> snap;
+  {
+    sim::ShardedRuntime other(rcfg);
+    other.place("other", std::vector<Entry>{1, 2});
+    snap = other.save_snapshot();
+  }
+  sim::ShardedRuntime runtime(rcfg);
+  SequentialTally seq(rcfg.service);
+  const auto keys = make_keys(8);
+  const std::vector<Entry> batch{3, 4, 5, 6, 7};
+  const auto place_and_look = [&](std::size_t from, std::size_t to) {
+    for (std::size_t k = from; k < to; ++k) {
+      seq.service.place(keys[k], batch);
+      runtime.place(keys[k], batch);
+    }
+    for (std::size_t i = 0; i < 40; ++i) {
+      seq.lookup(keys[i % to], 3);
+      runtime.lookup(keys[i % to], 3);
+    }
+  };
+  place_and_look(0, 4);
+  // A runtime that already holds keys refuses a restore; its routes restart,
+  // and keys placed afterwards must not inherit the earlier keys' ids.
+  ASSERT_NE(runtime.load_snapshot(snap), std::nullopt);
+  place_and_look(4, keys.size());
+  expect_matches(runtime, seq, keys);
 }
 
 }  // namespace

@@ -291,6 +291,11 @@ Options parse(int argc, char** argv) {
     usage(2);
   }
   if (const auto err =
+          pls::workload::validate_transport_options(opt.link, opt.retry)) {
+    std::cerr << *err << "\n";
+    usage(2);
+  }
+  if (const auto err =
           pls::workload::validate_shard_options(opt.shard, opt.keys)) {
     std::cerr << *err << "\n";
     usage(2);
