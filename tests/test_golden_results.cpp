@@ -44,6 +44,11 @@ constexpr GoldenScenario kScenarios[] = {
     {"round_robin_2_lossy", core::StrategyKind::kRoundRobin, 2, 0.2},
 };
 
+/// gtest prints GetParam() into each discovered ctest name; without this
+/// it dumps the struct's raw bytes, whose leading `name` pointer moves with
+/// every process's load address, so the test names changed on each build.
+void PrintTo(const GoldenScenario& sc, std::ostream* os) { *os << sc.name; }
+
 /// The frozen experiment: 4 trials of place + panel metrics + churn on a
 /// 10-server cluster, h = 100, t = 15. Every number derives from the
 /// trial seed, so the aggregate is reproducible on any machine and any
