@@ -46,7 +46,9 @@
 #   PLS_PERF_TOLERANCE   relative tolerance for counter drift (default 0.10)
 #
 # Also runs a fast determinism smoke: bench_fig4 at --trials 4 must produce
-# byte-identical JSON for different --jobs values.
+# byte-identical JSON for different --jobs values, and two seeded figures
+# must hash to the sha256 BENCH_trial_runner.json pins: fig4 at --trials 32
+# and fig12 (built on metrics::lookup_satisfiable) at --trials 4.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -56,6 +58,7 @@ wire_baseline="${repo_root}/BENCH_wire.json"
 scale_baseline="${repo_root}/BENCH_service_scale.json"
 churn_baseline="${repo_root}/BENCH_repair_churn.json"
 saturation_baseline="${repo_root}/BENCH_saturation.json"
+figure_pins="${repo_root}/BENCH_trial_runner.json"
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 tolerance="${PLS_PERF_TOLERANCE:-0.10}"
 
@@ -295,6 +298,35 @@ if [[ "${smoke}" == "1" ]]; then
     exit 1
   fi
   echo "fig4 aggregates bit-identical across --jobs 1 and --jobs ${smoke_jobs}"
+
+  echo "=== perf_check: figure pins (fig4 --trials 32, fig12 --trials 4) ==="
+  # check_pin NAME KEY BENCH ARGS...: BENCH's --json-out must hash to the
+  # sha256 at KEY (a dotted path) in BENCH_trial_runner.json.
+  check_pin() {
+    local name="$1" key="$2"
+    shift 2
+    local out="${build_dir}/${name}_pin.json"
+    "$@" --json-out "${out}" >/dev/null
+    python3 - "${figure_pins}" "${key}" "${out}" "${name}" <<'EOF'
+import hashlib, json, sys
+pins_path, key, out_path, name = sys.argv[1:]
+with open(pins_path) as f:
+    want = json.load(f)
+for part in key.split("."):
+    want = want[part]
+with open(out_path, "rb") as f:
+    got = hashlib.sha256(f.read()).hexdigest()
+if got != want:
+    print(f"perf_check: {name} JSON sha256 {got} differs from the pinned "
+          f"{want} ({key} in {pins_path})")
+    sys.exit(1)
+print(f"{name}: JSON sha256 matches the pinned {want[:12]}")
+EOF
+  }
+  check_pin fig4 determinism.json_sha256 \
+    "${build_dir}/bench/bench_fig4_lookup_cost" --trials 32 --jobs 1
+  check_pin fig12 fig12_pin.json_sha256 \
+    "${build_dir}/bench/bench_fig12_cushion" --trials 4 --jobs 1
 
   echo "=== perf_check: determinism smoke (saturation, --smoke) ==="
   sa="${build_dir}/saturation_jobs1.json"

@@ -1,7 +1,5 @@
 #include "pls/common/hashing.hpp"
 
-#include <algorithm>
-
 #include "pls/common/check.hpp"
 #include "pls/common/rng.hpp"
 
@@ -32,14 +30,8 @@ ServerId HashFamily::operator()(std::size_t i, Entry v) const noexcept {
                                static_cast<std::uint64_t>(num_servers_));
 }
 
-std::vector<ServerId> HashFamily::targets(Entry v) const {
-  std::vector<ServerId> out;
-  out.reserve(seeds_.size());
-  for (std::size_t i = 0; i < seeds_.size(); ++i) {
-    const ServerId s = (*this)(i, v);
-    if (std::find(out.begin(), out.end(), s) == out.end()) out.push_back(s);
-  }
-  return out;
+void HashFamily::targets(Entry v, std::size_t copies, TargetList& out) const {
+  for (std::size_t i = 0; i < copies; ++i) out.insert((*this)(i, v));
 }
 
 }  // namespace pls

@@ -6,7 +6,10 @@
 // near-independence empirically.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pls/common/types.hpp"
@@ -54,6 +57,51 @@ inline std::size_t shard_of_key(const Key& key, std::size_t shards) noexcept {
       mix_hash(key_content_hash(key), kShardRouteSeed) & (shards - 1));
 }
 
+/// The distinct servers (or member ranks) a placement rule maps one entry
+/// to, in the order the rule chose them. The first kInline live in the
+/// object, so an update's fan-out list on the stack costs no allocation at
+/// realistic replica counts; longer lists move to the heap.
+class TargetList {
+ public:
+  /// Appends `s` unless it is already listed (colliding replica choices
+  /// deduplicate); returns true when appended.
+  bool insert(ServerId s) {
+    if (contains(s)) return false;
+    if (size_ < kInline) {
+      inline_[size_] = s;
+    } else {
+      if (heap_.empty()) heap_.assign(inline_.begin(), inline_.end());
+      heap_.push_back(s);
+    }
+    ++size_;
+    return true;
+  }
+
+  bool contains(ServerId s) const noexcept {
+    const auto all = view();
+    return std::find(all.begin(), all.end(), s) != all.end();
+  }
+  std::size_t size() const noexcept { return size_; }
+  void clear() noexcept {
+    size_ = 0;
+    heap_.clear();
+  }
+
+  auto begin() const noexcept { return view().begin(); }
+  auto end() const noexcept { return view().end(); }
+
+ private:
+  std::span<const ServerId> view() const noexcept {
+    if (size_ <= kInline) return {inline_.data(), size_};
+    return heap_;
+  }
+
+  static constexpr std::size_t kInline = 8;
+  std::array<ServerId, kInline> inline_{};
+  std::vector<ServerId> heap_;
+  std::size_t size_ = 0;
+};
+
 /// A family of y hash functions onto [0, num_servers).
 class HashFamily {
  public:
@@ -73,9 +121,10 @@ class HashFamily {
   /// Server chosen by function `i` for entry `v`.
   ServerId operator()(std::size_t i, Entry v) const noexcept;
 
-  /// The *distinct* servers assigned to `v` by all y functions, i.e. where
-  /// Hash-y stores v (collisions between functions deduplicate, §3.5).
-  std::vector<ServerId> targets(Entry v) const;
+  /// The *distinct* servers assigned to `v` by the first `copies`
+  /// functions, in function order: where Hash-y stores v, collisions
+  /// between functions deduplicated (§3.5). Appends into `out`.
+  void targets(Entry v, std::size_t copies, TargetList& out) const;
 
  private:
   std::size_t num_servers_;

@@ -33,6 +33,16 @@ void HashStrategy::load_extras(wire::Reader& r) {
   }
 }
 
+template <typename Msg>
+void HashServer::send_to_targets(Entry v, std::size_t copies,
+                                 net::ClusterView& net) {
+  // Family outputs are member *ranks*; net.member translates them to server
+  // ids (the identity while no server has permanently left).
+  TargetList ranks;
+  family_.targets(v, copies, ranks);
+  for (ServerId rank : ranks) net.send(id(), net.member(rank), Msg{v});
+}
+
 void HashServer::on_message(const net::Message& m, net::ClusterView& net) {
   if (const auto* place = std::get_if<net::PlaceRequest>(&m)) {
     // Reset every server, then distribute. With a storage budget L below
@@ -48,29 +58,12 @@ void HashServer::on_message(const net::Message& m, net::ClusterView& net) {
         PLS_CHECK_MSG(copies <= y,
                       "storage budget exceeds what y hash functions place");
       }
-      const Entry v = place->entries[i];
-      // Deduplicate colliding functions: one copy per distinct server.
-      // Family outputs are member *ranks*; net.member translates them to
-      // server ids (the identity while no server has permanently left).
-      std::vector<ServerId> sent;
-      for (std::size_t j = 0; j < copies; ++j) {
-        const ServerId target = net.member(family_(j, v));
-        bool dup = false;
-        for (ServerId s : sent) dup = dup || (s == target);
-        if (!dup) {
-          sent.push_back(target);
-          net.send(id(), target, net::StoreEntry{v});
-        }
-      }
+      send_to_targets<net::StoreEntry>(place->entries[i], copies, net);
     }
   } else if (const auto* add = std::get_if<net::AddRequest>(&m)) {
-    for (ServerId rank : family_.targets(add->entry)) {
-      net.send(id(), net.member(rank), net::StoreEntry{add->entry});
-    }
+    send_to_targets<net::StoreEntry>(add->entry, family_.size(), net);
   } else if (const auto* del = std::get_if<net::DeleteRequest>(&m)) {
-    for (ServerId rank : family_.targets(del->entry)) {
-      net.send(id(), net.member(rank), net::RemoveEntry{del->entry});
-    }
+    send_to_targets<net::RemoveEntry>(del->entry, family_.size(), net);
   } else {
     StrategyServer::on_message(m, net);
   }
@@ -126,16 +119,13 @@ void HashStrategy::rebalance(const net::MembershipChange& change) {
   // new functions no longer place (ordinary traffic: this is the cost of
   // the membership change, not of background repair).
   net::ClusterView view = cluster_view();
-  std::vector<ServerId> wanted;
+  TargetList wanted;  // member ranks
   for (Entry v : stored_union()) {
     wanted.clear();
-    for (ServerId rank : family_.targets(v)) {
-      wanted.push_back(fs.member_at(rank));
-    }
+    family_.targets(v, family_.size(), wanted);
     for (std::size_t rank = 0; rank < fs.member_count(); ++rank) {
       const ServerId s = fs.member_at(rank);
-      const bool want =
-          std::find(wanted.begin(), wanted.end(), s) != wanted.end();
+      const bool want = wanted.contains(static_cast<ServerId>(rank));
       const bool has = server_state(s).store().contains(v);
       if (want && !has) view.client_send(s, net::StoreEntry{v});
       if (!want && has) view.client_send(s, net::RemoveEntry{v});
@@ -151,10 +141,13 @@ net::RepairOutcome HashStrategy::repair_once() {
   if (u.empty()) return out;
   const net::FailureState& fs = network().failures();
   net::ClusterView view = repair_view();
+  TargetList ranks;
   std::vector<ServerId> candidates;
   for (Entry v : u) {
     // Restore the entry onto each of its hash targets.
-    for (ServerId rank : family_.targets(v)) {
+    ranks.clear();
+    family_.targets(v, family_.size(), ranks);
+    for (ServerId rank : ranks) {
       const ServerId s = fs.member_at(rank);
       if (server_state(s).store().contains(v)) continue;
       if (!fs.is_up(s)) {

@@ -27,6 +27,11 @@ class HashServer final : public StrategyServer {
   void set_family(HashFamily family) { family_ = std::move(family); }
 
  private:
+  /// Sends Msg{v} to each distinct server the first `copies` functions
+  /// choose, in function order: place, add and delete share this fan-out.
+  template <typename Msg>
+  void send_to_targets(Entry v, std::size_t copies, net::ClusterView& net);
+
   HashFamily family_;
   std::size_t storage_budget_;
 };

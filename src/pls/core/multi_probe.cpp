@@ -1,6 +1,8 @@
 #include "pls/core/multi_probe.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "pls/common/check.hpp"
 #include "pls/wire/wire.hpp"
@@ -28,35 +30,86 @@ void MultiProbeStrategy::load_extras(wire::Reader& r) {
                 "snapshot MultiProbe placement disagrees with config");
 }
 
-ServerId MultiProbePlacement::owner(Entry v, std::uint32_t group,
-                                    const net::FailureState& fs) const {
-  PLS_CHECK_MSG(fs.member_count() > 0, "multi-probe needs at least one member");
-  ServerId best = kInvalidServer;
-  std::uint64_t best_dist = ~std::uint64_t{0};
-  for (std::uint32_t i = 0; i < probes; ++i) {
-    const std::uint64_t p = probe(v, group, i);
-    for (std::size_t rank = 0; rank < fs.member_count(); ++rank) {
-      const ServerId s = fs.member_at(rank);
-      // Clockwise distance from the probe to the member's point; modular
-      // subtraction wraps the ring. Strict < keeps ties on the earlier
-      // (probe, rank) pair, making the owner deterministic.
-      const std::uint64_t dist = point(s) - p;
-      if (best == kInvalidServer || dist < best_dist) {
-        best = s;
-        best_dist = dist;
-      }
+namespace {
+
+/// The current members' ring points in rank order, hashed once per call,
+/// for one placement rule it borrows (a local of that rule's own calls).
+/// Inline for clusters of up to kInline members, so placing an entry there
+/// allocates nothing; larger clusters keep them on the heap.
+class RingPoints {
+ public:
+  RingPoints(const MultiProbePlacement& placement,
+             const net::FailureState& fs)
+      : placement_(placement) {
+    const std::size_t n = fs.member_count();
+    PLS_CHECK_MSG(n > 0, "multi-probe needs at least one member");
+    if (n <= inline_.size()) {
+      points_ = std::span<std::uint64_t>(inline_.data(), n);
+    } else {
+      heap_.resize(n);
+      points_ = heap_;
+    }
+    for (std::size_t rank = 0; rank < n; ++rank) {
+      points_[rank] = placement.point(fs.member_at(rank));
     }
   }
-  return best;
+  RingPoints(const RingPoints&) = delete;
+  RingPoints& operator=(const RingPoints&) = delete;
+
+  /// The rank owning replica group `group` of `v` (see
+  /// MultiProbePlacement::owner for the rule).
+  std::size_t owner_rank(Entry v, std::uint32_t group) const noexcept {
+    // Probe-major, rank-minor, strict <: the first minimal (probe, rank)
+    // pair wins. Starting from rank 0 at the largest distance is the same
+    // rule, because a pair that only ties that distance never replaces it.
+    std::size_t best = 0;
+    std::uint64_t best_dist = ~std::uint64_t{0};
+    for (std::uint32_t i = 0; i < placement_.probes; ++i) {
+      const std::uint64_t p = placement_.probe(v, group, i);
+      for (std::size_t rank = 0; rank < points_.size(); ++rank) {
+        // Clockwise distance from the probe to the member's point; modular
+        // subtraction wraps the ring.
+        const std::uint64_t dist = points_[rank] - p;
+        if (dist < best_dist) {
+          best = rank;
+          best_dist = dist;
+        }
+      }
+    }
+    return best;
+  }
+
+ private:
+  static constexpr std::size_t kInline = 64;
+  const MultiProbePlacement& placement_;
+  std::array<std::uint64_t, kInline> inline_{};
+  std::vector<std::uint64_t> heap_;
+  std::span<std::uint64_t> points_;
+};
+
+}  // namespace
+
+ServerId MultiProbePlacement::owner(Entry v, std::uint32_t group,
+                                    const net::FailureState& fs) const {
+  const RingPoints points(*this, fs);
+  return fs.member_at(points.owner_rank(v, group));
 }
 
 void MultiProbePlacement::targets(Entry v, std::size_t copies,
                                   const net::FailureState& fs,
-                                  std::vector<ServerId>& out) const {
+                                  TargetList& out) const {
+  const RingPoints points(*this, fs);
   for (std::uint32_t j = 0; j < copies; ++j) {
-    const ServerId s = owner(v, j, fs);
-    if (std::find(out.begin(), out.end(), s) == out.end()) out.push_back(s);
+    out.insert(fs.member_at(points.owner_rank(v, j)));
   }
+}
+
+template <typename Msg>
+void MultiProbeServer::send_to_targets(Entry v, std::size_t copies,
+                                       net::ClusterView& net) {
+  TargetList targets;
+  placement_.targets(v, copies, net.failures(), targets);
+  for (ServerId target : targets) net.send(id(), target, Msg{v});
 }
 
 void MultiProbeServer::on_message(const net::Message& m,
@@ -76,27 +129,12 @@ void MultiProbeServer::on_message(const net::Message& m,
         PLS_CHECK_MSG(copies <= y,
                       "storage budget exceeds what y replica groups place");
       }
-      const Entry v = place->entries[i];
-      scratch_.clear();
-      placement_.targets(v, copies, net.failures(), scratch_);
-      for (ServerId target : scratch_) {
-        net.send(id(), target, net::StoreEntry{v});
-      }
+      send_to_targets<net::StoreEntry>(place->entries[i], copies, net);
     }
   } else if (const auto* add = std::get_if<net::AddRequest>(&m)) {
-    scratch_.clear();
-    placement_.targets(add->entry, placement_.groups, net.failures(),
-                       scratch_);
-    for (ServerId target : scratch_) {
-      net.send(id(), target, net::StoreEntry{add->entry});
-    }
+    send_to_targets<net::StoreEntry>(add->entry, placement_.groups, net);
   } else if (const auto* del = std::get_if<net::DeleteRequest>(&m)) {
-    scratch_.clear();
-    placement_.targets(del->entry, placement_.groups, net.failures(),
-                       scratch_);
-    for (ServerId target : scratch_) {
-      net.send(id(), target, net::RemoveEntry{del->entry});
-    }
+    send_to_targets<net::RemoveEntry>(del->entry, placement_.groups, net);
   } else {
     StrategyServer::on_message(m, net);
   }
@@ -158,14 +196,13 @@ void MultiProbeStrategy::rebalance(const net::MembershipChange& change) {
   // stayed put. Only ~1/n of the union moves on a single join or leave —
   // the defining economy of this family.
   net::ClusterView view = cluster_view();
-  std::vector<ServerId> wanted;
+  TargetList wanted;
   for (Entry v : stored_union()) {
     wanted.clear();
     placement_.targets(v, placement_.groups, fs, wanted);
     for (std::size_t rank = 0; rank < fs.member_count(); ++rank) {
       const ServerId s = fs.member_at(rank);
-      const bool want =
-          std::find(wanted.begin(), wanted.end(), s) != wanted.end();
+      const bool want = wanted.contains(s);
       const bool has = server_state(s).store().contains(v);
       if (want && !has) view.client_send(s, net::StoreEntry{v});
       if (!want && has) view.client_send(s, net::RemoveEntry{v});
@@ -181,7 +218,7 @@ net::RepairOutcome MultiProbeStrategy::repair_once() {
   if (u.empty()) return out;
   const net::FailureState& fs = network().failures();
   net::ClusterView view = repair_view();
-  std::vector<ServerId> owners;
+  TargetList owners;
   std::vector<ServerId> candidates;
   for (Entry v : u) {
     // Restore the entry onto each of its replica-group owners.

@@ -3,11 +3,11 @@
 // Each member server owns ONE stable point on a 2^64 hash ring, derived
 // from its id and never re-keyed across membership changes. An entry's
 // j-th replica group draws r independent probe hashes and is owned by the
-// member whose point lies closest clockwise-ahead of any probe (ties break
-// toward the lower member rank). Replica groups with distinct j draw
-// distinct probe streams, so y groups spread like y quasi-independent
-// hash functions, deduplicated per entry exactly as Hash-y deduplicates
-// colliding functions.
+// member whose point lies closest clockwise-ahead of any probe (exact ties
+// go to the earliest probe, then the lowest member rank). Replica groups
+// with distinct j draw distinct probe streams, so y groups spread like y
+// quasi-independent hash functions, deduplicated per entry exactly as
+// Hash-y deduplicates colliding functions.
 //
 // The family needs no per-key slot tables and no virtual-node rings —
 // placement state is four 64-bit words shared by every tenant — yet a
@@ -17,8 +17,6 @@
 // lands near 1.05x in the multi-probe literature); r = 1 degenerates to
 // classic one-point-per-node consistent hashing with its log(n) skew.
 #pragma once
-
-#include <vector>
 
 #include "pls/common/hashing.hpp"
 #include "pls/core/strategy.hpp"
@@ -52,16 +50,18 @@ struct MultiProbePlacement {
 
   /// The member owning replica group `group` of `v`: over all r probes and
   /// all current members, the (probe, point) pair with the smallest
-  /// clockwise distance from probe to point wins; exact ties go to the
-  /// earlier member rank. Requires at least one member.
+  /// clockwise distance from probe to point wins. Exact ties keep the first
+  /// minimal pair in probe-major, rank-minor order: the earliest probe
+  /// wins, then the lowest member rank. Each member's point is hashed once
+  /// per call (n + 2r hashes, not r(n + 2)). Requires at least one member.
   ServerId owner(Entry v, std::uint32_t group,
                  const net::FailureState& fs) const;
 
   /// The first `copies` replica-group owners of `v`, deduplicated in group
-  /// order (mirrors Hash-y's collision dedup). Appends into `out`, which
-  /// the caller clears and reuses to keep the hot path allocation-free.
+  /// order (mirrors Hash-y's collision dedup). Appends into `out`. The
+  /// members' points are hashed once for all `copies` groups.
   void targets(Entry v, std::size_t copies, const net::FailureState& fs,
-               std::vector<ServerId>& out) const;
+               TargetList& out) const;
 };
 
 class MultiProbeServer final : public StrategyServer {
@@ -75,9 +75,13 @@ class MultiProbeServer final : public StrategyServer {
   void on_message(const net::Message& m, net::ClusterView& net) override;
 
  private:
+  /// Sends Msg{v} to the first `copies` replica-group owners of `v`:
+  /// place, add and delete share this fan-out.
+  template <typename Msg>
+  void send_to_targets(Entry v, std::size_t copies, net::ClusterView& net);
+
   MultiProbePlacement placement_;
   std::size_t storage_budget_;
-  std::vector<ServerId> scratch_;  ///< reused targets buffer
 };
 
 class MultiProbeStrategy final : public Strategy {

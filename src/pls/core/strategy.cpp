@@ -248,7 +248,7 @@ void Strategy::send_union_to(ServerId host) {
 }
 
 ServerId Strategy::random_up_server() {
-  const auto up = network().failures().up_servers();
+  const auto up = network().failures().up();
   if (up.empty()) return kInvalidServer;
   return up[client_rng_.uniform(up.size())];
 }

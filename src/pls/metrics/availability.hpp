@@ -14,9 +14,10 @@
 namespace pls::metrics {
 
 /// True when the strategy's lookup protocol would return >= t entries
-/// right now. Evaluated from placement state — no messages are charged, so
-/// replayers can probe after every event without perturbing the §6.4
-/// overhead accounting.
+/// right now. Reads the operational servers' tenant stores in place — no
+/// messages are charged, so replayers can probe after every event without
+/// perturbing the §6.4 overhead accounting — and allocates nothing for
+/// t <= 32.
 bool lookup_satisfiable(const core::Strategy& strategy, std::size_t t);
 
 }  // namespace pls::metrics

@@ -1,6 +1,6 @@
 // Allocation-regression tests (tier1, built only under -DPLS_COUNT_ALLOCS=ON;
-// scripts/perf_check.sh runs them). They pin the two properties the zero-copy
-// refactor bought:
+// scripts/perf_check.sh runs them). They pin the properties the zero-copy
+// refactor and its follow-ups bought:
 //
 //   * partial_lookup runs in O(1) heap allocations regardless of how many
 //     servers it contacts — the reply path reuses one pooled buffer and the
@@ -8,6 +8,9 @@
 //     sizes, in exactly one: its answer.
 //   * broadcast fan-out performs zero payload deep-copies no matter the
 //     cluster size — Message copies only bump the SharedEntries refcount.
+//   * the §6 availability probe and steady-state add/delete allocate
+//     nothing: the probe reads the stores in place, and an update's client
+//     target and fan-out list come from cached or stack state.
 //
 // The thresholds are deliberately loose constants (not exact counts) so the
 // tests survive minor library changes while still failing loudly if a copy
@@ -20,6 +23,7 @@
 #include "pls/common/alloc_stats.hpp"
 #include "pls/core/service.hpp"
 #include "pls/core/strategy_factory.hpp"
+#include "pls/metrics/availability.hpp"
 #include "pls/net/network.hpp"
 #include "pls/net/repair.hpp"
 #include "pls/net/shared_entries.hpp"
@@ -98,16 +102,18 @@ TEST(AllocRegression, PartialLookupAllocatesO1Buffers) {
   }
 }
 
+/// Every family at the paper's §6 shape (x = 20, y = 2).
+constexpr std::pair<StrategyKind, std::size_t> kFamilies[] = {
+    {StrategyKind::kFullReplication, 1}, {StrategyKind::kFixed, 20},
+    {StrategyKind::kRandomServer, 20},   {StrategyKind::kRoundRobin, 2},
+    {StrategyKind::kHash, 2},            {StrategyKind::kMultiProbe, 2}};
+
 TEST(AllocRegression, PartialLookupAllocatesAtMostItsAnswer) {
   // In steady state a lookup's only heap block is its answer: the up list is
   // FailureState's cached span, the dedup set and the contact order live on
   // the stack, and the answer vector is reserved once. Every family, at a
   // t each family answers from one server and at one that needs several.
-  const std::pair<StrategyKind, std::size_t> families[] = {
-      {StrategyKind::kFullReplication, 1}, {StrategyKind::kFixed, 20},
-      {StrategyKind::kRandomServer, 20},   {StrategyKind::kRoundRobin, 2},
-      {StrategyKind::kHash, 2},            {StrategyKind::kMultiProbe, 2}};
-  for (const auto& [kind, param] : families) {
+  for (const auto& [kind, param] : kFamilies) {
     for (const std::size_t t : {std::size_t{5}, std::size_t{15}}) {
       auto strategy = core::make_strategy(
           StrategyConfig{.kind = kind, .param = param, .seed = 7}, 8);
@@ -115,6 +121,59 @@ TEST(AllocRegression, PartialLookupAllocatesAtMostItsAnswer) {
       EXPECT_LE(allocs_per_lookup(*strategy, t, 200), 1.0)
           << core::to_string(kind) << " at t=" << t;
     }
+  }
+}
+
+TEST(AllocRegression, SatisfiabilityProbeIsAllocationFree) {
+  // The Fig 12 probe reads the tenants' stores in place and dedups into an
+  // inline set, so it allocates nothing up to t = 32. t = 32 needs the
+  // merge across servers for every coverage family at this shape.
+  for (const auto& [kind, param] : kFamilies) {
+    auto strategy = core::make_strategy(
+        StrategyConfig{.kind = kind, .param = param, .seed = 7}, 10);
+    strategy->place(iota_entries(100));
+    for (const std::size_t t :
+         {std::size_t{1}, std::size_t{15}, std::size_t{32}}) {
+      const AllocStats before = AllocStats::current();
+      bool satisfiable = false;
+      for (int i = 0; i < 100; ++i) {
+        satisfiable = metrics::lookup_satisfiable(*strategy, t);
+      }
+      const AllocStats delta = AllocStats::current() - before;
+      // Fixed-x answers from one server holding x = 20 entries.
+      EXPECT_EQ(satisfiable, kind != StrategyKind::kFixed || t <= param)
+          << core::to_string(kind) << " at t=" << t;
+      EXPECT_EQ(delta.allocations, 0u)
+          << core::to_string(kind) << " at t=" << t;
+    }
+  }
+}
+
+TEST(AllocRegression, SteadyStateUpdatesAreAllocationFree) {
+  // add/delete on a reliable link: the client picks its target from the
+  // cached up list, and Hash-y and MultiProbe build their fan-out lists on
+  // the stack. Pairs of adding and deleting a fresh entry keep every store
+  // at its steady-state size; warm up first so store capacity has settled.
+  constexpr int kWarm = 64;
+  constexpr int kPairs = 2000;
+  for (const auto& [kind, param] : kFamilies) {
+    auto strategy = core::make_strategy(
+        StrategyConfig{.kind = kind, .param = param, .seed = 7}, 10);
+    strategy->place(iota_entries(100));
+    Entry next = 1000;
+    for (int i = 0; i < kWarm; ++i, ++next) {
+      strategy->add(next);
+      strategy->erase(next);
+    }
+    const AllocStats before = AllocStats::current();
+    for (int i = 0; i < kPairs; ++i, ++next) {
+      strategy->add(next);
+      strategy->erase(next);
+    }
+    const AllocStats delta = AllocStats::current() - before;
+    EXPECT_LE(static_cast<double>(delta.allocations) / (2.0 * kPairs), 0.01)
+        << core::to_string(kind) << ": " << delta.allocations
+        << " allocations over " << 2 * kPairs << " updates";
   }
 }
 

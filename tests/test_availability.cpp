@@ -1,4 +1,9 @@
 // Tests for the Fig 12 satisfiability probe.
+#include <algorithm>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "pls/core/strategy_factory.hpp"
@@ -78,6 +83,94 @@ TEST(Availability, HashSatisfiabilityTracksPlacement) {
   s->erase(3);
   EXPECT_FALSE(lookup_satisfiable(*s, 20));
   EXPECT_TRUE(lookup_satisfiable(*s, 19));
+}
+
+/// The probe computed from a Placement copy, deduplicating operational
+/// coverage in a hash set: the definition the in-place probe must keep.
+bool reference_satisfiable(const core::Strategy& strategy, std::size_t t) {
+  if (t == 0) return true;
+  const auto placement = strategy.placement();
+  const auto& failures = strategy.network().failures();
+  const bool single_server =
+      strategy.kind() == core::StrategyKind::kFullReplication ||
+      strategy.kind() == core::StrategyKind::kFixed;
+  std::unordered_set<Entry> seen;
+  for (std::size_t s = 0; s < placement.num_servers(); ++s) {
+    if (!failures.is_up(static_cast<ServerId>(s))) continue;
+    if (single_server) return placement.servers[s].size() >= t;
+    seen.insert(placement.servers[s].begin(), placement.servers[s].end());
+    if (seen.size() >= t) return true;
+  }
+  return false;
+}
+
+TEST(Availability, InPlaceProbeMatchesThePlacementCopyUnderChurn) {
+  // Seeded adds, deletes, failures and recoveries, with one graceful leave
+  // and one join, on every family at two cluster sizes. After every step
+  // the probe must agree with the reference for every t up to one past the
+  // live entry count, past the probe's 32-entry inline set included.
+  const std::pair<core::StrategyKind, std::size_t> families[] = {
+      {core::StrategyKind::kFullReplication, 0},
+      {core::StrategyKind::kFixed, 36},
+      {core::StrategyKind::kRandomServer, 12},
+      {core::StrategyKind::kRoundRobin, 2},
+      {core::StrategyKind::kHash, 2},
+      {core::StrategyKind::kMultiProbe, 2}};
+  constexpr std::size_t kSteps = 120;
+  constexpr std::size_t kLeaveStep = 40;
+  constexpr std::size_t kJoinStep = 80;
+  for (const std::size_t n : {std::size_t{4}, std::size_t{10}}) {
+    for (const auto& [kind, param] : families) {
+      const auto s = make(kind, param, n);
+      std::vector<Entry> live = iota_entries(40);
+      s->place(live);
+      Entry next = live.size() + 1;
+      Rng rng(1000 * n + static_cast<std::uint64_t>(kind));
+      std::size_t max_t = 0;
+      for (std::size_t step = 0; step <= kSteps; ++step) {
+        const auto& failures = s->network().failures();
+        if (step == kLeaveStep) {
+          s->remove_server(1, net::Loss::kGraceful);
+        } else if (step == kJoinStep) {
+          s->add_server();
+        } else if (step > 0) {
+          switch (rng.uniform(4)) {
+            case 0:
+              s->add(next);
+              live.push_back(next++);
+              break;
+            case 1:
+              if (!live.empty()) {
+                const std::size_t i = rng.uniform(live.size());
+                s->erase(live[i]);
+                live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+              }
+              break;
+            case 2:
+              if (failures.up_count() > 0) {
+                const auto up = failures.up();
+                s->fail_server(up[rng.uniform(up.size())]);
+              }
+              break;
+            default: {
+              const auto down = failures.down_servers();
+              if (!down.empty()) {
+                s->recover_server(down[rng.uniform(down.size())]);
+              }
+              break;
+            }
+          }
+        }
+        for (std::size_t t = 0; t <= live.size() + 1; ++t) {
+          ASSERT_EQ(lookup_satisfiable(*s, t), reference_satisfiable(*s, t))
+              << core::to_string(kind) << " n=" << n << " step " << step
+              << " t=" << t;
+          max_t = std::max(max_t, t);
+        }
+      }
+      EXPECT_GT(max_t, 32u) << core::to_string(kind) << " n=" << n;
+    }
+  }
 }
 
 TEST(Availability, ProbeSendsNoMessages) {

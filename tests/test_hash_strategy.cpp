@@ -26,13 +26,21 @@ HashStrategy make(std::size_t n, std::size_t y, std::uint64_t seed = 1,
                       n, net::make_failure_state(n));
 }
 
+/// The distinct servers Hash-y stores `v` on (ids equal ranks here: no
+/// server has left).
+TargetList targets_of(const HashStrategy& s, Entry v) {
+  TargetList out;
+  s.family().targets(v, s.y(), out);
+  return out;
+}
+
 TEST(Hash, EntriesLandExactlyOnTheirHashTargets) {
   auto s = make(10, 3);
   s.place(iota_entries(50));
   const auto p = s.placement();
   for (Entry v = 1; v <= 50; ++v) {
     std::set<ServerId> expected;
-    for (ServerId t : s.family().targets(v)) expected.insert(t);
+    for (ServerId t : targets_of(s, v)) expected.insert(t);
     std::set<ServerId> actual;
     for (ServerId id = 0; id < 10; ++id) {
       for (Entry e : p.servers[id]) {
@@ -105,7 +113,7 @@ TEST(Hash, AddTouchesOnlyHashTargets) {
   auto s = make(10, 3);
   s.place(iota_entries(10));
   const Entry v = 999;
-  const auto targets = s.family().targets(v);
+  const auto targets = targets_of(s, v);
   s.network().reset_stats();
   s.add(v);
   // 1 client request + one store per distinct target — no broadcast (§5.5).
@@ -121,7 +129,7 @@ TEST(Hash, AddTouchesOnlyHashTargets) {
 TEST(Hash, DeleteTouchesOnlyHashTargets) {
   auto s = make(10, 3);
   s.place(iota_entries(10));
-  const auto targets = s.family().targets(5);
+  const auto targets = targets_of(s, 5);
   s.network().reset_stats();
   s.erase(5);
   EXPECT_EQ(s.network().stats().processed, 1u + targets.size());
@@ -178,7 +186,7 @@ TEST(Hash, ChurnPreservesExactTargetPlacement) {
   for (ServerId id = 0; id < 8; ++id) {
     for (Entry v : p.servers[id]) {
       stored.insert(v);
-      const auto targets = s.family().targets(v);
+      const auto targets = targets_of(s, v);
       EXPECT_NE(std::find(targets.begin(), targets.end(), id), targets.end())
           << "entry " << v << " on non-target server " << id;
     }

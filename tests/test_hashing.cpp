@@ -2,6 +2,7 @@
 #include <array>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -62,10 +63,16 @@ TEST(HashFamily, MemberFunctionsDiffer) {
   EXPECT_GT(differences, 150);  // ~90% expected for independent functions
 }
 
+TargetList all_targets(const HashFamily& f, Entry v) {
+  TargetList out;
+  f.targets(v, f.size(), out);
+  return out;
+}
+
 TEST(HashFamily, TargetsDeduplicateCollisions) {
   HashFamily f(4, 3, 42);  // 4 functions on 3 servers force collisions
   for (Entry v = 0; v < 200; ++v) {
-    const auto targets = f.targets(v);
+    const auto targets = all_targets(f, v);
     std::set<ServerId> unique(targets.begin(), targets.end());
     EXPECT_EQ(unique.size(), targets.size());
     EXPECT_LE(targets.size(), 3u);
@@ -92,10 +99,31 @@ TEST(HashFamily, ExpectedDistinctTargetsMatchesCollisionModel) {
   double total = 0.0;
   constexpr int kEntries = 50000;
   for (Entry v = 0; v < kEntries; ++v) {
-    total += static_cast<double>(f.targets(v).size());
+    total += static_cast<double>(all_targets(f, v).size());
   }
   const double expected = kServers * (1.0 - std::pow(0.9, kY));
   EXPECT_NEAR(total / kEntries, expected, 0.02);
+}
+
+TEST(TargetList, KeepsFirstOccurrenceOrderPastTheInlineCapacity) {
+  // 20 distinct ids, each offered twice: the list keeps one copy of each in
+  // first-offer order, inline and after it moves to the heap alike.
+  TargetList list;
+  std::vector<ServerId> expected;
+  for (ServerId i = 0; i < 20; ++i) {
+    const ServerId id = (i * 7) % 20;
+    EXPECT_TRUE(list.insert(id));
+    EXPECT_FALSE(list.insert(id));
+    expected.push_back(id);
+  }
+  EXPECT_EQ(list.size(), 20u);
+  EXPECT_EQ(std::vector<ServerId>(list.begin(), list.end()), expected);
+  EXPECT_FALSE(list.contains(20));
+  list.clear();
+  EXPECT_EQ(list.size(), 0u);
+  EXPECT_TRUE(list.insert(3));
+  EXPECT_EQ(std::vector<ServerId>(list.begin(), list.end()),
+            std::vector<ServerId>{3});
 }
 
 TEST(HashFamily, RejectsDegenerateParameters) {

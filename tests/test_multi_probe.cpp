@@ -67,7 +67,7 @@ TEST(MultiProbe, EntriesLandExactlyOnTheirProbeTargets) {
   s.place(iota_entries(50));
   const auto p = s.placement();
   const auto& fs = s.network().failures();
-  std::vector<ServerId> targets;
+  TargetList targets;
   for (Entry v = 1; v <= 50; ++v) {
     targets.clear();
     s.probe_placement().targets(v, s.y(), fs, targets);
@@ -96,7 +96,7 @@ TEST(MultiProbe, AddAndDeleteHitTheSameTargets) {
   const Entry fresh = 999;
   s.add(fresh);
   const auto& fs = s.network().failures();
-  std::vector<ServerId> targets;
+  TargetList targets;
   s.probe_placement().targets(fresh, s.y(), fs, targets);
   for (ServerId t : targets) {
     EXPECT_TRUE(s.server_state(t).store().contains(fresh));
@@ -189,7 +189,7 @@ TEST(MultiProbe, RepairRestoresWipedCopiesAndEnforcesTheTwoCopyFloor) {
   EXPECT_EQ(out.deficit_after, 0u);
   // Every restorable entry is back on its probe targets with >= 2 copies.
   const auto& fs = s.network().failures();
-  std::vector<ServerId> targets;
+  TargetList targets;
   for (Entry v : safe) {
     targets.clear();
     s.probe_placement().targets(v, s.y(), fs, targets);
@@ -207,6 +207,61 @@ TEST(MultiProbe, LookupMergesAcrossServers) {
   EXPECT_TRUE(r.satisfied);
   std::set<Entry> unique(r.entries.begin(), r.entries.end());
   EXPECT_EQ(unique.size(), r.entries.size());
+}
+
+TEST(MultiProbe, OwnersMatchThePinnedDigest) {
+  // FNV-1a over every entry's target list (count, then ids) for v = 1..3000
+  // across cluster sizes, y and r, before and after a graceful leave of
+  // server 1 (which makes ranks differ from ids). n = 70 exceeds the inline
+  // ring-point buffer. The digest was taken from the owner rule that
+  // rehashed every ring point per probe; any change to which member owns a
+  // replica group changes it.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((x >> (8 * byte)) & 0xffu)) * 0x100000001b3ULL;
+    }
+  };
+  TargetList targets;
+  for (const std::size_t n : {1u, 3u, 8u, 10u, 70u}) {
+    for (const std::size_t y : {1u, 2u, 3u}) {
+      for (const std::size_t r : {1u, 16u, 21u}) {
+        auto s = make(n, y, r);
+        for (const bool after_leave : {false, true}) {
+          if (after_leave) {
+            if (n == 1) break;  // the only member cannot leave
+            s.remove_server(1, net::Loss::kGraceful);
+          }
+          const auto& fs = s.network().failures();
+          for (Entry v = 1; v <= 3000; ++v) {
+            targets.clear();
+            s.probe_placement().targets(v, y, fs, targets);
+            fold(targets.size());
+            for (const ServerId id : targets) fold(id);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x312e0bb0666decc1ULL);
+}
+
+TEST(MultiProbe, OwnerIsTheFirstTargetAndAgreesPastTheInlineBuffer) {
+  // owner() and targets() share one rule; group 0's owner always leads the
+  // target list, on small clusters and on ones too big for the inline
+  // ring-point buffer.
+  for (const std::size_t n : {5u, 65u, 70u}) {
+    auto s = make(n, 3, 4);
+    const auto& fs = s.network().failures();
+    TargetList targets;
+    for (Entry v = 1; v <= 200; ++v) {
+      targets.clear();
+      s.probe_placement().targets(v, 3, fs, targets);
+      ASSERT_GE(targets.size(), 1u);
+      EXPECT_EQ(*targets.begin(), s.probe_placement().owner(v, 0, fs));
+      EXPECT_TRUE(targets.contains(s.probe_placement().owner(v, 2, fs)));
+    }
+  }
 }
 
 TEST(MultiProbe, PlacementIsDeterministicPerSeedAcrossChurn) {
