@@ -237,8 +237,9 @@ BENCHMARK(BM_WheelChurnReplay)->Iterations(2000);
 
 /// Deferred lossy transport end to end: sends fan out through the
 /// simulator with per-attempt backoff and latency. Wall-clock only — the
-/// before/after numbers in BENCH_event_queue.json come from running this
-/// (and bench_fig14) under the default and -DPLS_REFERENCE_QUEUE=ON builds.
+/// dated before/after numbers in BENCH_event_queue.json came from running
+/// this (and bench_fig14) with the simulator on each queue, through a
+/// build option that has since been removed.
 void BM_LossyRetryDeferred(benchmark::State& state) {
   class NullServer final : public net::Server {
    public:

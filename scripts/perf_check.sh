@@ -80,18 +80,20 @@ cmake --build "${build_dir}" -j "${jobs}" >/dev/null
 echo "=== perf_check: allocation-regression tests ==="
 (cd "${build_dir}" && ctest -R AllocRegression --output-on-failure)
 
-echo "=== perf_check: micro-op counters ==="
-raw_micro="${build_dir}/bench_micro_ops_raw.json"
-raw_queue="${build_dir}/bench_event_queue_raw.json"
-"${build_dir}/bench/bench_micro_ops" --benchmark_format=json > "${raw_micro}"
-"${build_dir}/bench/bench_event_queue" --benchmark_format=json > "${raw_queue}"
-
-candidate="${build_dir}/BENCH_micro_ops.json"
-python3 - "${candidate}" "${raw_micro}" "${raw_queue}" <<'EOF'
+# extract_counters OUT PREFIX FIELDS RAW...: folds the deterministic
+# counters (allocs_per_op / bytes_per_op / payload_copies_per_op) of every
+# counter-reporting bench in the google-benchmark RAW files into OUT, then
+# applies a hard gate independent of the baseline diff: every bench whose
+# name starts with PREFIX must report exactly 0 for each of the
+# space-separated FIELDS.
+extract_counters() {
+  local out="$1" prefix="$2" fields="$3"
+  shift 3
+  python3 - "${out}" "${prefix}" "${fields}" "$@" <<'EOF'
 import json, re, sys
-out_path, raw_paths = sys.argv[1], sys.argv[2:]
+out_path, prefix, fields = sys.argv[1], sys.argv[2], sys.argv[3].split()
 counters = {}
-for raw_path in raw_paths:
+for raw_path in sys.argv[4:]:
     with open(raw_path) as f:
         raw = json.load(f)
     for bench in raw["benchmarks"]:
@@ -107,65 +109,40 @@ with open(out_path, "w") as f:
     json.dump(counters, f, indent=2, sort_keys=True)
     f.write("\n")
 
-# Hard gate, independent of the baseline diff: the timer wheel's steady
-# state is allocation-free by contract.
 violations = [
-    f"  {name}: allocs_per_op={vals['allocs_per_op']}, "
-    f"bytes_per_op={vals['bytes_per_op']}"
+    f"  {name}: " + ", ".join(f"{k}={vals[k]}" for k in fields)
     for name, vals in sorted(counters.items())
-    if name.startswith("BM_Wheel")
-    and (vals["allocs_per_op"] != 0.0 or vals["bytes_per_op"] != 0.0)
+    if name.startswith(prefix) and any(vals[k] != 0.0 for k in fields)
 ]
 if violations:
-    print("perf_check: timer-wheel benches must be allocation-free "
-          "in steady state:")
+    print(f"perf_check: {prefix}* benches must report exactly 0 "
+          f"{', '.join(fields)}:")
     print("\n".join(violations))
     sys.exit(1)
-wheel = sum(1 for name in counters if name.startswith("BM_Wheel"))
-print(f"perf_check: {wheel} BM_Wheel* benches at exactly 0 allocs/op")
+gated = sum(1 for name in counters if name.startswith(prefix))
+print(f"perf_check: {gated} {prefix}* benches at exactly 0 "
+      f"{', '.join(fields)}")
 EOF
+}
+
+echo "=== perf_check: micro-op counters ==="
+raw_micro="${build_dir}/bench_micro_ops_raw.json"
+raw_queue="${build_dir}/bench_event_queue_raw.json"
+"${build_dir}/bench/bench_micro_ops" --benchmark_format=json > "${raw_micro}"
+"${build_dir}/bench/bench_event_queue" --benchmark_format=json > "${raw_queue}"
+# The timer wheel's steady state is allocation-free by contract.
+candidate="${build_dir}/BENCH_micro_ops.json"
+extract_counters "${candidate}" BM_Wheel "allocs_per_op bytes_per_op" \
+  "${raw_micro}" "${raw_queue}"
 
 echo "=== perf_check: wire codec counters ==="
 raw_wire="${build_dir}/bench_wire_raw.json"
 "${build_dir}/bench/bench_wire" --benchmark_format=json > "${raw_wire}"
-
+# Encode aliases the message's SharedEntries payload: zero deep copies per
+# encoded frame, whatever the entry count.
 wire_candidate="${build_dir}/BENCH_wire.json"
-python3 - "${wire_candidate}" "${raw_wire}" <<'EOF'
-import json, re, sys
-out_path, raw_path = sys.argv[1], sys.argv[2]
-with open(raw_path) as f:
-    raw = json.load(f)
-counters = {}
-for bench in raw["benchmarks"]:
-    if "allocs_per_op" not in bench:
-        continue  # wall-clock-only benches are not gated
-    name = re.sub(r"/iterations:\d+", "", bench["name"])
-    counters[name] = {
-        "allocs_per_op": round(bench["allocs_per_op"], 3),
-        "bytes_per_op": round(bench["bytes_per_op"], 3),
-        "payload_copies_per_op": round(bench["payload_copies_per_op"], 3),
-    }
-with open(out_path, "w") as f:
-    json.dump(counters, f, indent=2, sort_keys=True)
-    f.write("\n")
-
-# Hard gate, independent of the baseline diff: encode aliases the
-# message's SharedEntries payload — zero deep copies per encoded frame,
-# whatever the entry count.
-violations = [
-    f"  {name}: payload_copies_per_op={vals['payload_copies_per_op']}"
-    for name, vals in sorted(counters.items())
-    if name.startswith("BM_WireEncode")
-    and vals["payload_copies_per_op"] != 0.0
-]
-if violations:
-    print("perf_check: wire encode must never deep-copy the payload:")
-    print("\n".join(violations))
-    sys.exit(1)
-encode = sum(1 for name in counters if name.startswith("BM_WireEncode"))
-print(f"perf_check: {encode} BM_WireEncode* benches at exactly 0 payload "
-      "copies/op")
-EOF
+extract_counters "${wire_candidate}" BM_WireEncode payload_copies_per_op \
+  "${raw_wire}"
 
 echo "=== perf_check: service key-count scaling ==="
 # The bench enforces its own hard gates (bytes/key at 100k keys within 2x

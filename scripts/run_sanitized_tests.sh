@@ -7,12 +7,12 @@
 # (InlineEvent placement/relocation, the timer wheel's recycled node pool
 # and capture slab) is exercised in every tree by test_inline_event,
 # test_event_queue and the tier-2 differential fuzz
-# (test_event_queue_fuzz), which drives both queue implementations in
-# lockstep regardless of the PLS_REFERENCE_QUEUE configuration. The
-# multi-tenant shared-cluster machinery (KeyId routing, per-key channels,
-# tenant lifetimes on the FlatMap-backed hosts) runs under all three
-# sanitizers via the tier-1 test_shared_cluster invariants and the tier-2
-# test_shared_cluster_grid randomized differential grid. The workload
+# (test_event_queue_fuzz), which drives the wheel and the reference heap
+# queue in lockstep. The multi-tenant shared-cluster machinery (KeyId
+# routing, per-key channels, tenant lifetimes on the FlatMap-backed
+# hosts) runs under all three sanitizers via the tier-1
+# test_shared_cluster invariants and the tier-2 test_shared_cluster_grid
+# randomized differential grid. The workload
 # engine (Zipfian/flash-crowd generators, partition-aware transport,
 # SaturationEngine coalescing + admission control) is covered in every
 # tree by test_workload_gen, test_partition, test_saturation and the

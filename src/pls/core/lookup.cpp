@@ -92,8 +92,7 @@ class ShuffledUp {
   ShuffledUp(const ShuffledUp&) = delete;
   ShuffledUp& operator=(const ShuffledUp&) = delete;
 
-  auto begin() const noexcept { return order_.begin(); }
-  auto end() const noexcept { return order_.end(); }
+  std::span<const ServerId> span() const noexcept { return order_; }
 
  private:
   static constexpr std::size_t kInline = 64;
@@ -137,6 +136,28 @@ QueryState query_one(net::ClusterView& net, ServerId target, std::size_t t,
   return QueryState::kAnswered;
 }
 
+/// The walk every behaviour but stride order shares: asks `order`'s
+/// servers in turn for t entries each until t distinct entries are
+/// gathered, the attempt budget runs out, or every server has answered or
+/// timed out, then finalizes `out` against the satisfaction bar `bar`.
+void walk(net::ClusterView& net, std::span<const ServerId> order,
+          std::size_t t, std::size_t bar, const net::RetryPolicy& policy,
+          LookupResult& out) {
+  SeenSet seen;
+  std::uint32_t budget = policy.attempt_budget;
+  bool budget_out = false, gave_up = false;
+  for (ServerId target : order) {
+    const auto state = query_one(net, target, t, policy, budget, seen, out);
+    if (state == QueryState::kBudgetExhausted) {
+      budget_out = true;
+      break;
+    }
+    if (state == QueryState::kNoReply) gave_up = true;
+    if (out.entries.size() >= t) break;
+  }
+  out.finalize(bar, budget_out, gave_up);
+}
+
 }  // namespace
 
 LookupResult single_server_lookup(net::ClusterView net, Rng& rng,
@@ -152,11 +173,7 @@ LookupResult single_server_lookup(net::ClusterView net, Rng& rng,
   // operational one is found" — equivalent to uniform over the up set.
   const ServerId target = up[rng.uniform(up.size())];
   reserve_answer(out, t);
-  SeenSet seen;
-  std::uint32_t budget = policy.attempt_budget;
-  const auto state = query_one(net, target, t, policy, budget, seen, out);
-  out.finalize(t, state == QueryState::kBudgetExhausted,
-               state == QueryState::kNoReply);
+  walk(net, {&target, 1}, t, t, policy, out);
   return out;
 }
 
@@ -170,19 +187,7 @@ LookupResult random_order_lookup(net::ClusterView net, Rng& rng,
   }
   const ShuffledUp order(net.failures().up(), rng);
   reserve_answer(out, t);
-  SeenSet seen;
-  std::uint32_t budget = policy.attempt_budget;
-  bool budget_out = false, gave_up = false;
-  for (ServerId target : order) {
-    const auto state = query_one(net, target, t, policy, budget, seen, out);
-    if (state == QueryState::kBudgetExhausted) {
-      budget_out = true;
-      break;
-    }
-    if (state == QueryState::kNoReply) gave_up = true;
-    if (out.entries.size() >= t) break;
-  }
-  out.finalize(t, budget_out, gave_up);
+  walk(net, order.span(), t, t, policy, out);
   return out;
 }
 
@@ -200,19 +205,7 @@ LookupResult subset_lookup(net::ClusterView net, Rng& rng, std::size_t t,
     }
   }
   rng.shuffle(std::span<ServerId>(order));
-  SeenSet seen;
-  std::uint32_t budget = policy.attempt_budget;
-  bool budget_out = false, gave_up = false;
-  for (ServerId target : order) {
-    const auto state = query_one(net, target, t, policy, budget, seen, out);
-    if (state == QueryState::kBudgetExhausted) {
-      budget_out = true;
-      break;
-    }
-    if (state == QueryState::kNoReply) gave_up = true;
-    if (out.entries.size() >= t) break;
-  }
-  out.finalize(t, budget_out, gave_up);
+  walk(net, order, t, t, policy, out);
   return out;
 }
 
@@ -220,22 +213,11 @@ LookupResult exhaustive_lookup(net::ClusterView net, Rng& rng,
                                const net::RetryPolicy& policy) {
   LookupResult out;
   const ShuffledUp order(net.failures().up(), rng);
-  SeenSet seen;
-  std::uint32_t budget = policy.attempt_budget;
-  bool budget_out = false, gave_up = false;
-  for (ServerId target : order) {
-    const auto state =
-        query_one(net, target, std::numeric_limits<std::uint32_t>::max(),
-                  policy, budget, seen, out);
-    if (state == QueryState::kBudgetExhausted) {
-      budget_out = true;
-      break;
-    }
-    if (state == QueryState::kNoReply) gave_up = true;
-  }
-  // Exhaustive lookups have no t; "anything at all" is the satisfaction
-  // bar, matching the §7.1 exhaustive-preference semantics.
-  out.finalize(1, budget_out, gave_up);
+  // Exhaustive lookups have no t: every server is asked for everything,
+  // and "anything at all" is the satisfaction bar, matching the §7.1
+  // exhaustive-preference semantics.
+  walk(net, order.span(), std::numeric_limits<std::uint32_t>::max(), 1,
+       policy, out);
   return out;
 }
 
@@ -301,53 +283,6 @@ LookupResult stride_order_lookup(net::ClusterView net, Rng& rng,
   }
   out.finalize(t, budget_out, gave_up);
   return out;
-}
-
-LookupResult single_server_lookup(net::ClusterView net, Rng& rng,
-                                  std::size_t t) {
-  return single_server_lookup(net, rng, t, net.retry_policy());
-}
-
-LookupResult random_order_lookup(net::ClusterView net, Rng& rng,
-                                 std::size_t t) {
-  return random_order_lookup(net, rng, t, net.retry_policy());
-}
-
-LookupResult stride_order_lookup(net::ClusterView net, Rng& rng,
-                                 std::size_t t, std::size_t stride) {
-  return stride_order_lookup(net, rng, t, stride, net.retry_policy());
-}
-
-LookupResult subset_lookup(net::ClusterView net, Rng& rng, std::size_t t,
-                           std::span<const ServerId> candidates) {
-  return subset_lookup(net, rng, t, candidates, net.retry_policy());
-}
-
-LookupResult exhaustive_lookup(net::ClusterView net, Rng& rng) {
-  return exhaustive_lookup(net, rng, net.retry_policy());
-}
-
-LookupResult single_server_lookup(net::Network& net, Rng& rng, std::size_t t) {
-  return single_server_lookup(net::ClusterView(net, kDefaultKey), rng, t);
-}
-
-LookupResult random_order_lookup(net::Network& net, Rng& rng, std::size_t t) {
-  return random_order_lookup(net::ClusterView(net, kDefaultKey), rng, t);
-}
-
-LookupResult stride_order_lookup(net::Network& net, Rng& rng, std::size_t t,
-                                 std::size_t stride) {
-  return stride_order_lookup(net::ClusterView(net, kDefaultKey), rng, t,
-                             stride);
-}
-
-LookupResult subset_lookup(net::Network& net, Rng& rng, std::size_t t,
-                           std::span<const ServerId> candidates) {
-  return subset_lookup(net::ClusterView(net, kDefaultKey), rng, t, candidates);
-}
-
-LookupResult exhaustive_lookup(net::Network& net, Rng& rng) {
-  return exhaustive_lookup(net::ClusterView(net, kDefaultKey), rng);
 }
 
 }  // namespace pls::core

@@ -23,7 +23,7 @@
 #include "pls/common/rng.hpp"
 #include "pls/common/types.hpp"
 #include "pls/net/host.hpp"
-#include "pls/net/network.hpp"
+#include "pls/net/retry_policy.hpp"
 
 namespace pls::core {
 
@@ -78,8 +78,8 @@ struct LookupResult {
 /// The lookups take a key-scoped net::ClusterView (by value — it is two
 /// words): requests are stamped with the view's key, so attempts are
 /// charged to that key's channel whether the cluster is shared or private.
-/// net::Network& overloads serve unkeyed callers (tests, raw-transport
-/// diagnostics) by wrapping the network in a kDefaultKey view.
+/// Unkeyed callers pass ClusterView(net, kDefaultKey), and
+/// net.retry_policy() for the transport's default policy.
 
 /// Contact one random operational server and return its answer verbatim.
 LookupResult single_server_lookup(net::ClusterView net, Rng& rng,
@@ -112,25 +112,5 @@ LookupResult subset_lookup(net::ClusterView net, Rng& rng, std::size_t t,
 /// lookups (§7.1) and diagnostics; costs up-server-count messages.
 LookupResult exhaustive_lookup(net::ClusterView net, Rng& rng,
                                const net::RetryPolicy& policy);
-
-/// Convenience overloads using the transport's default retry policy.
-LookupResult single_server_lookup(net::ClusterView net, Rng& rng,
-                                  std::size_t t);
-LookupResult random_order_lookup(net::ClusterView net, Rng& rng,
-                                 std::size_t t);
-LookupResult stride_order_lookup(net::ClusterView net, Rng& rng,
-                                 std::size_t t, std::size_t stride);
-LookupResult subset_lookup(net::ClusterView net, Rng& rng, std::size_t t,
-                           std::span<const ServerId> candidates);
-LookupResult exhaustive_lookup(net::ClusterView net, Rng& rng);
-
-/// Unkeyed (default-key) overloads over a raw Network.
-LookupResult single_server_lookup(net::Network& net, Rng& rng, std::size_t t);
-LookupResult random_order_lookup(net::Network& net, Rng& rng, std::size_t t);
-LookupResult stride_order_lookup(net::Network& net, Rng& rng, std::size_t t,
-                                 std::size_t stride);
-LookupResult subset_lookup(net::Network& net, Rng& rng, std::size_t t,
-                           std::span<const ServerId> candidates);
-LookupResult exhaustive_lookup(net::Network& net, Rng& rng);
 
 }  // namespace pls::core

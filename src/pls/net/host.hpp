@@ -98,11 +98,6 @@ class ClusterView {
     return net_->client_send(to, m);
   }
 
-  std::optional<Message> client_rpc(ServerId to, Message m) {
-    stamp(m);
-    return net_->client_rpc(to, m);
-  }
-
   CallResult client_call(ServerId to, Message m, const RetryPolicy& policy,
                          std::uint32_t attempt_cap) {
     stamp(m);

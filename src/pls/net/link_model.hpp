@@ -6,8 +6,11 @@
 // one-way message is duplicated with `duplicate_probability`, and (in
 // deferred mode) per-message latency gets an exponential component with
 // mean `latency_mean` on top of the fixed latency configured through
-// `Network::attach_simulator`. All draws come from one pls::Rng seeded
-// from `seed`, so lossy runs replay bit-for-bit.
+// `Network::attach_simulator`. The draws come from the addressed key's
+// own transport channel stream: channel 0 is seeded from `seed`, and a
+// service key's channel from Strategy::link_stream_seed, so each key's
+// loss pattern is independent of other tenants' traffic and lossy runs
+// replay bit-for-bit.
 #pragma once
 
 #include <cstddef>

@@ -12,35 +12,13 @@ namespace pls::net {
 namespace {
 
 void save_transport_stats(wire::Writer& w, const TransportStats& s) {
-  w.varint(s.sent);
-  w.varint(s.processed);
-  w.varint(s.dropped);
-  w.varint(s.broadcasts);
-  w.varint(s.rpcs);
-  w.varint(s.dropped_down);
-  w.varint(s.dropped_link);
-  w.varint(s.dropped_partition);
-  w.varint(s.duplicated);
-  w.varint(s.dup_suppressed);
-  w.varint(s.retries);
-  w.varint(s.timeouts);
+  for (const auto counter : TransportStats::kCounters) w.varint(s.*counter);
   w.varint(s.per_server_processed.size());
   for (const std::uint64_t c : s.per_server_processed) w.varint(c);
 }
 
 void load_transport_stats(wire::Reader& r, TransportStats& s) {
-  s.sent = r.varint();
-  s.processed = r.varint();
-  s.dropped = r.varint();
-  s.broadcasts = r.varint();
-  s.rpcs = r.varint();
-  s.dropped_down = r.varint();
-  s.dropped_link = r.varint();
-  s.dropped_partition = r.varint();
-  s.duplicated = r.varint();
-  s.dup_suppressed = r.varint();
-  s.retries = r.varint();
-  s.timeouts = r.varint();
+  for (const auto counter : TransportStats::kCounters) s.*counter = r.varint();
   const std::uint64_t n = r.varint();
   PLS_CHECK_MSG(r.ok() && n <= r.remaining(),
                 "truncated transport-stats snapshot");
@@ -50,6 +28,32 @@ void load_transport_stats(wire::Reader& r, TransportStats& s) {
     s.per_server_processed.push_back(r.varint());
   }
 }
+
+/// The ledgers one message is charged to: the cluster totals, its key's
+/// channel and, for repair traffic, the repair ledger. Built per charge
+/// and never held across a call into a server, which may send and so
+/// re-enter the network.
+struct Ledgers {
+  TransportStats& global;
+  TransportStats& key;
+  TransportStats* repair;
+
+  void add(std::uint64_t TransportStats::*counter) const {
+    ++(global.*counter);
+    ++(key.*counter);
+    if (repair != nullptr) ++(repair->*counter);
+  }
+
+  /// One message processed by server `s`. The global and repair per-server
+  /// vectors cover every server (Network::add_server sizes them); a key
+  /// channel's grows on demand.
+  void processed(ServerId s) const {
+    add(&TransportStats::processed);
+    ++global.per_server_processed[s];
+    key.charge_server(s);
+    if (repair != nullptr) ++repair->per_server_processed[s];
+  }
+};
 
 }  // namespace
 
@@ -95,7 +99,7 @@ Network::Network(std::shared_ptr<FailureState> failures)
   channels_.emplace_back();
 }
 
-Network::KeyChannel& Network::channel(KeyId key) {
+inline Network::KeyChannel& Network::channel(KeyId key) {
   PLS_CHECK_MSG(key < channels_.size(), "message addresses an unregistered "
                                         "tenant channel");
   return channels_[key];
@@ -206,15 +210,7 @@ void Network::set_partition(Partition partition) {
 }
 
 void Network::deliver(ServerId to, const Message& m, SeqNo seq) {
-  ++stats_.processed;
-  ++stats_.per_server_processed[to];
-  TransportStats& ks = channel(m.key).stats;
-  ++ks.processed;
-  ks.charge_server(to);
-  if (TransportStats* rs = repair_ledger(m)) {
-    ++rs->processed;
-    ++rs->per_server_processed[to];
-  }
+  Ledgers{stats_, channel(m.key).stats, repair_ledger(m)}.processed(to);
   if (trace_ != nullptr) {
     trace_->record(sim_ != nullptr ? sim_->now() : 0.0,
                    sim::TraceKind::kMessage,
@@ -222,9 +218,8 @@ void Network::deliver(ServerId to, const Message& m, SeqNo seq) {
                        std::to_string(to));
   }
   if (!servers_[to]->handle(m, *this, seq)) {
-    ++stats_.dup_suppressed;
-    ++channel(m.key).stats.dup_suppressed;
-    if (TransportStats* rs = repair_ledger(m)) ++rs->dup_suppressed;
+    Ledgers{stats_, channel(m.key).stats, repair_ledger(m)}.add(
+        &TransportStats::dup_suppressed);
   }
 }
 
@@ -262,24 +257,11 @@ void Network::schedule_delivery(ServerId to, const Message& m, SeqNo seq,
 }
 
 void Network::record_drop(ServerId to, const Message& m, DropCause cause) {
-  ++stats_.dropped;
-  TransportStats& ks = channel(m.key).stats;
-  ++ks.dropped;
-  TransportStats* rs = repair_ledger(m);
-  if (rs != nullptr) ++rs->dropped;
-  if (cause == DropCause::kServerDown) {
-    ++stats_.dropped_down;
-    ++ks.dropped_down;
-    if (rs != nullptr) ++rs->dropped_down;
-  } else if (cause == DropCause::kLink) {
-    ++stats_.dropped_link;
-    ++ks.dropped_link;
-    if (rs != nullptr) ++rs->dropped_link;
-  } else {
-    ++stats_.dropped_partition;
-    ++ks.dropped_partition;
-    if (rs != nullptr) ++rs->dropped_partition;
-  }
+  const Ledgers charge{stats_, channel(m.key).stats, repair_ledger(m)};
+  charge.add(&TransportStats::dropped);
+  charge.add(cause == DropCause::kServerDown ? &TransportStats::dropped_down
+             : cause == DropCause::kLink     ? &TransportStats::dropped_link
+                                             : &TransportStats::dropped_partition);
   if (trace_ != nullptr) {
     trace_->record(sim_ != nullptr ? sim_->now() : 0.0,
                    sim::TraceKind::kFailure,
@@ -299,94 +281,79 @@ double Network::latency_sample(Rng& link_rng) {
   return latency;
 }
 
-bool Network::transmit(std::uint8_t from_group, ServerId to,
-                       const Message& m) {
-  KeyChannel& ch = channel(m.key);
-  TransportStats* rs = repair_ledger(m);
+Network::Attempt Network::attempt(std::uint8_t from_group, ServerId to,
+                                  const Message& m, std::uint32_t cap,
+                                  bool backoff) {
+  // A reliable link makes one attempt: it is the paper's exact transport,
+  // in which only a dead or severed target loses a message, and retrying
+  // cannot fix that within one operation. Acknowledgements and replies are
+  // modelled as reliable, so the first delivered attempt ends the loop.
+  // All loss randomness comes from the key's own channel stream, so
+  // tenants never perturb one another's replay.
+  const bool lossy = link_.lossy();
   const bool severed = partition_.severs(from_group, to);
-  if (!link_.lossy()) {
-    // Reliable link: the paper's exact transport, one attempt, no
-    // sequencing (duplicates are impossible, so the dedup window stays
-    // untouched and accounting is unchanged).
-    ++stats_.sent;
-    ++ch.stats.sent;
-    if (rs != nullptr) ++rs->sent;
-    if (!failures_->is_up(to)) {
-      record_drop(to, m, DropCause::kServerDown);
-      return false;
-    }
-    if (severed) {
-      record_drop(to, m, DropCause::kPartition);
-      return false;
-    }
-    if (sim_ != nullptr) {
-      schedule_delivery(to, m, kNoSeq, latency_sample(ch.link_rng));
-      return true;
-    }
-    deliver(to, m, kNoSeq);
-    return true;
-  }
-
-  // Lossy link: bounded retransmission. One sequence number covers all
-  // attempts of this logical message, so redundant deliveries are
-  // suppressed by the receiver. Acknowledgements are modelled as reliable:
-  // the sender stops after the first delivered attempt; duplicates come
-  // from the link itself (duplicate_probability). All loss randomness
-  // comes from the key's own channel stream, so tenants never perturb one
-  // another's replay.
-  const SeqNo seq = ++next_seq_;
-  double wait = 0.0;  // backoff time elapsed before the current attempt
-  for (std::uint32_t attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    ++stats_.sent;
-    ++ch.stats.sent;
-    if (rs != nullptr) ++rs->sent;
-    if (attempt > 1) {
-      ++stats_.retries;
-      ++ch.stats.retries;
-      if (rs != nullptr) ++rs->retries;
-    }
+  KeyChannel& ch = channel(m.key);
+  const Ledgers charge{stats_, ch.stats, repair_ledger(m)};
+  Attempt out;
+  for (std::uint32_t n = 1; n <= (lossy ? cap : 1); ++n) {
+    out.attempts = n;
+    charge.add(&TransportStats::sent);
+    if (n > 1) charge.add(&TransportStats::retries);
     const bool up = failures_->is_up(to);
     // A severed link behaves exactly like a dead server: no attempt can
     // get through, no loss coin is spent, and the sender burns its retry
     // allowance (it cannot tell the difference).
-    if (!up || severed || ch.link_rng.bernoulli(link_.drop_probability)) {
-      record_drop(to, m,
-                  !up       ? DropCause::kServerDown
-                  : severed ? DropCause::kPartition
-                            : DropCause::kLink);
-      ++stats_.timeouts;
-      ++ch.stats.timeouts;
-      if (rs != nullptr) ++rs->timeouts;
-      wait += retry_.timeout_for(attempt, ch.link_rng);
-      continue;
+    if (up && !severed &&
+        !(lossy && ch.link_rng.bernoulli(link_.drop_probability))) {
+      out.delivered = true;
+      return out;
     }
-    if (sim_ != nullptr) {
-      schedule_delivery(to, m, seq, wait + latency_sample(ch.link_rng));
-    } else {
-      deliver(to, m, seq);
+    record_drop(to, m,
+                !up       ? DropCause::kServerDown
+                : severed ? DropCause::kPartition
+                          : DropCause::kLink);
+    if (lossy) {
+      charge.add(&TransportStats::timeouts);
+      if (backoff) out.wait += retry_.timeout_for(n, ch.link_rng);
     }
-    if (ch.link_rng.bernoulli(link_.duplicate_probability)) {
-      ++stats_.duplicated;
-      ++ch.stats.duplicated;
-      if (rs != nullptr) ++rs->duplicated;
-      if (sim_ != nullptr) {
-        schedule_delivery(to, m, seq, wait + latency_sample(ch.link_rng));
-      } else {
-        deliver(to, m, seq);
-      }
-    }
-    return true;
   }
-  return false;
+  return out;
+}
+
+inline void Network::deliver_after(ServerId to, const Message& m,
+                                   SeqNo seq, double wait) {
+  if (sim_ != nullptr) {
+    schedule_delivery(to, m, seq,
+                      wait + latency_sample(channel(m.key).link_rng));
+  } else {
+    deliver(to, m, seq);
+  }
+}
+
+bool Network::transmit(std::uint8_t from_group, ServerId to,
+                       const Message& m) {
+  // One sequence number covers every attempt of a lossy message, so the
+  // receiver suppresses redundant deliveries. A reliable link cannot
+  // duplicate, so its deliveries stay unsequenced and the dedup window
+  // untouched.
+  const bool lossy = link_.lossy();
+  const SeqNo seq = lossy ? ++next_seq_ : kNoSeq;
+  const Attempt sent =
+      attempt(from_group, to, m, retry_.max_attempts, /*backoff=*/true);
+  if (!sent.delivered) return false;
+  deliver_after(to, m, seq, sent.wait);
+  if (lossy &&
+      channel(m.key).link_rng.bernoulli(link_.duplicate_probability)) {
+    Ledgers{stats_, channel(m.key).stats, repair_ledger(m)}.add(
+        &TransportStats::duplicated);
+    deliver_after(to, m, seq, sent.wait);
+  }
+  return true;
 }
 
 bool Network::client_send(ServerId to, const Message& m) {
   PLS_CHECK(to < servers_.size());
   return transmit(partition_.client_group, to, m);
-}
-
-std::optional<Message> Network::client_rpc(ServerId to, const Message& m) {
-  return client_call(to, m, retry_, retry_.max_attempts).reply;
 }
 
 CallResult Network::client_call(ServerId to, const Message& m,
@@ -395,79 +362,21 @@ CallResult Network::client_call(ServerId to, const Message& m,
   PLS_CHECK(to < servers_.size());
   PLS_CHECK_MSG(policy.valid(), "invalid retry policy");
   PLS_CHECK_MSG(attempt_cap >= 1, "attempt cap must be >= 1");
-  KeyChannel& ch = channel(m.key);
-  TransportStats* rs = repair_ledger(m);
-  const bool severed = partition_.severs(partition_.client_group, to);
+  // The client cannot distinguish a lost request from a dead server or a
+  // severed link: on a lossy link all surface as a timeout.
+  const Attempt sent =
+      attempt(partition_.client_group, to, m,
+              std::min(policy.max_attempts, attempt_cap), /*backoff=*/false);
   CallResult out;
-  if (!link_.lossy()) {
-    // Reliable link: one synchronous attempt; a missing reply means the
-    // server is down (or severed), which retrying cannot fix within one
-    // lookup.
-    out.attempts = 1;
-    ++stats_.sent;
-    ++ch.stats.sent;
-    if (rs != nullptr) ++rs->sent;
-    if (!failures_->is_up(to) || severed) {
-      record_drop(to, m,
-                  failures_->is_up(to) ? DropCause::kPartition
-                                       : DropCause::kServerDown);
-      return out;
-    }
-    ++stats_.processed;
-    ++stats_.per_server_processed[to];
-    ++stats_.rpcs;
-    ++ch.stats.processed;
-    ch.stats.charge_server(to);
-    ++ch.stats.rpcs;
-    if (rs != nullptr) {
-      ++rs->processed;
-      ++rs->per_server_processed[to];
-      ++rs->rpcs;
-    }
-    out.reply = servers_[to]->on_rpc(m, *this);
+  out.attempts = sent.attempts;
+  if (!sent.delivered) {
+    out.timed_out = link_.lossy();
     return out;
   }
-
-  const std::uint32_t cap = std::min(policy.max_attempts, attempt_cap);
-  for (std::uint32_t attempt = 1; attempt <= cap; ++attempt) {
-    out.attempts = attempt;
-    ++stats_.sent;
-    ++ch.stats.sent;
-    if (rs != nullptr) ++rs->sent;
-    if (attempt > 1) {
-      ++stats_.retries;
-      ++ch.stats.retries;
-      if (rs != nullptr) ++rs->retries;
-    }
-    const bool up = failures_->is_up(to);
-    if (!up || severed || ch.link_rng.bernoulli(link_.drop_probability)) {
-      // The client cannot distinguish a lost request from a dead server or
-      // a severed link; all surface as a timeout and trigger the next
-      // attempt.
-      record_drop(to, m,
-                  !up       ? DropCause::kServerDown
-                  : severed ? DropCause::kPartition
-                            : DropCause::kLink);
-      ++stats_.timeouts;
-      ++ch.stats.timeouts;
-      if (rs != nullptr) ++rs->timeouts;
-      continue;
-    }
-    ++stats_.processed;
-    ++stats_.per_server_processed[to];
-    ++stats_.rpcs;
-    ++ch.stats.processed;
-    ch.stats.charge_server(to);
-    ++ch.stats.rpcs;
-    if (rs != nullptr) {
-      ++rs->processed;
-      ++rs->per_server_processed[to];
-      ++rs->rpcs;
-    }
-    out.reply = servers_[to]->on_rpc(m, *this);
-    return out;
-  }
-  out.timed_out = true;
+  const Ledgers charge{stats_, channel(m.key).stats, repair_ledger(m)};
+  charge.add(&TransportStats::rpcs);
+  charge.processed(to);
+  out.reply = servers_[to]->on_rpc(m, *this);
   return out;
 }
 
@@ -479,9 +388,8 @@ void Network::send(ServerId from, ServerId to, const Message& m) {
 
 void Network::broadcast(ServerId from, const Message& m) {
   PLS_CHECK(from < servers_.size());
-  ++stats_.broadcasts;
-  ++channel(m.key).stats.broadcasts;
-  if (TransportStats* rs = repair_ledger(m)) ++rs->broadcasts;
+  Ledgers{stats_, channel(m.key).stats, repair_ledger(m)}.add(
+      &TransportStats::broadcasts);
   const std::uint8_t from_group = partition_.group(from);
   for (ServerId to = 0; to < servers_.size(); ++to) {
     // Gone servers have left the cluster: they are not broadcast targets
@@ -496,52 +404,16 @@ std::optional<Message> Network::rpc(ServerId from, ServerId to,
   PLS_CHECK(from < servers_.size());
   PLS_CHECK(to < servers_.size());
   PLS_CHECK_MSG(sim_ == nullptr, "RPC requires immediate delivery mode");
-  KeyChannel& ch = channel(m.key);
-  TransportStats* rs = repair_ledger(m);
-  const bool severed = partition_.severs(partition_.group(from), to);
   // Request leg, retransmitted under the default policy on a lossy link.
-  bool delivered = false;
-  const std::uint32_t attempts = link_.lossy() ? retry_.max_attempts : 1;
-  for (std::uint32_t attempt = 1; attempt <= attempts; ++attempt) {
-    ++stats_.sent;
-    ++ch.stats.sent;
-    if (rs != nullptr) ++rs->sent;
-    if (attempt > 1) {
-      ++stats_.retries;
-      ++ch.stats.retries;
-      if (rs != nullptr) ++rs->retries;
-    }
-    const bool up = failures_->is_up(to);
-    if (!up || severed ||
-        (link_.lossy() && ch.link_rng.bernoulli(link_.drop_probability))) {
-      record_drop(to, m,
-                  !up       ? DropCause::kServerDown
-                  : severed ? DropCause::kPartition
-                            : DropCause::kLink);
-      if (link_.lossy()) {
-        ++stats_.timeouts;
-        ++ch.stats.timeouts;
-        if (rs != nullptr) ++rs->timeouts;
-        continue;
-      }
-      return std::nullopt;
-    }
-    delivered = true;
-    break;
+  if (!attempt(partition_.group(from), to, m, retry_.max_attempts,
+               /*backoff=*/false)
+           .delivered) {
+    return std::nullopt;
   }
-  if (!delivered) return std::nullopt;
-  ++stats_.rpcs;
-  ++ch.stats.rpcs;
-  if (rs != nullptr) ++rs->rpcs;
   // Request processed by the callee...
-  ++stats_.processed;
-  ++stats_.per_server_processed[to];
-  ++ch.stats.processed;
-  ch.stats.charge_server(to);
-  if (rs != nullptr) {
-    ++rs->processed;
-    ++rs->per_server_processed[to];
-  }
+  const Ledgers request{stats_, channel(m.key).stats, repair_ledger(m)};
+  request.add(&TransportStats::rpcs);
+  request.processed(to);
   Message reply = servers_[to]->on_rpc(m, *this);
   // The reply leg is attributed to the request's tenant (and repair
   // ledger) regardless of what the callee stamped on the reply payload.
@@ -552,21 +424,13 @@ std::optional<Message> Network::rpc(ServerId from, ServerId to,
   // link loss (connection-oriented model). A partition cannot sever the
   // reply either: groups are symmetric, so a request that got through
   // proves both ends sit on the same side.
-  ++stats_.sent;
-  ++ch.stats.sent;
-  if (rs != nullptr) ++rs->sent;
+  const Ledgers back{stats_, channel(m.key).stats, repair_ledger(m)};
+  back.add(&TransportStats::sent);
   if (!failures_->is_up(from)) {
     record_drop(from, reply, DropCause::kServerDown);
     return std::nullopt;
   }
-  ++stats_.processed;
-  ++stats_.per_server_processed[from];
-  ++ch.stats.processed;
-  ch.stats.charge_server(from);
-  if (rs != nullptr) {
-    ++rs->processed;
-    ++rs->per_server_processed[from];
-  }
+  back.processed(from);
   return reply;
 }
 

@@ -97,15 +97,11 @@ class Network {
   /// retransmission.
   bool client_send(ServerId to, const Message& m);
 
-  /// Client -> server request/reply under the default retry policy. Empty
-  /// when the server is down or every attempt timed out. The request is
-  /// charged as one processed message per delivered attempt; the reply is
-  /// free.
-  std::optional<Message> client_rpc(ServerId to, const Message& m);
-
   /// Client -> server request/reply with an explicit policy and a cap on
   /// attempts (the lookup layer passes min(policy.max_attempts, remaining
-  /// per-lookup budget); must be >= 1).
+  /// per-lookup budget); must be >= 1). The reply is empty when the server
+  /// is down or every attempt went unanswered. The delivered request is
+  /// charged as one processed message; the reply is free.
   CallResult client_call(ServerId to, const Message& m,
                          const RetryPolicy& policy,
                          std::uint32_t attempt_cap);
@@ -207,14 +203,34 @@ class Network {
 
   KeyChannel& channel(KeyId key);
 
-  /// One-way transmission with loss, duplication and bounded
-  /// retransmission. `from_group` is the sender's side of any active
-  /// partition (Partition::client_group for client traffic); cross-group
-  /// sends drop like sends to a dead server. Returns true when at least
-  /// one attempt was delivered (or scheduled for delivery, in deferred
+  /// The outcome of attempt(): whether an attempt got through, how many
+  /// were made, and the backoff accumulated before the delivered one.
+  struct Attempt {
+    bool delivered = false;
+    std::uint32_t attempts = 0;
+    double wait = 0.0;
+  };
+
+  /// Puts `m` on the wire towards `to` until an attempt gets through: once
+  /// on a reliable link, up to `cap` times on a lossy one, charging every
+  /// attempt, drop and timeout. Every send path starts here. `from_group`
+  /// is the sender's side of any active partition
+  /// (Partition::client_group for client traffic); a severed attempt drops
+  /// like one to a dead server. The drop coin is drawn only on a lossy
+  /// link towards an up, unsevered target; with `backoff` (one-way sends)
+  /// every failed lossy attempt also draws its jittered timeout.
+  Attempt attempt(std::uint8_t from_group, ServerId to, const Message& m,
+                  std::uint32_t cap, bool backoff);
+
+  /// One-way transmission: attempt() under the default retry policy, then
+  /// the delivery and, on a lossy link, the link's duplicate. Returns true
+  /// when an attempt was delivered (or scheduled for delivery, in deferred
   /// mode).
   bool transmit(std::uint8_t from_group, ServerId to, const Message& m);
 
+  /// Delivers at once, or in deferred mode after `wait` plus a latency
+  /// sample.
+  void deliver_after(ServerId to, const Message& m, SeqNo seq, double wait);
   void deliver(ServerId to, const Message& m, SeqNo seq);
   void schedule_delivery(ServerId to, const Message& m, SeqNo seq,
                          double delay);

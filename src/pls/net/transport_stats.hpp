@@ -15,6 +15,7 @@
 //   sent + duplicated == processed + dropped
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -44,6 +45,17 @@ struct TransportStats {
   std::uint64_t retries = 0;         ///< retransmission attempts (2nd and on)
   std::uint64_t timeouts = 0;        ///< attempts that got no reply/ack
 
+  /// The twelve counters above in declaration order, which is also their
+  /// snapshot order. reset, merge, operator== and the snapshot codec walk
+  /// this list, so a new counter is added here once.
+  static constexpr std::array<std::uint64_t TransportStats::*, 12> kCounters{
+      &TransportStats::sent,         &TransportStats::processed,
+      &TransportStats::dropped,      &TransportStats::broadcasts,
+      &TransportStats::rpcs,         &TransportStats::dropped_down,
+      &TransportStats::dropped_link, &TransportStats::dropped_partition,
+      &TransportStats::duplicated,   &TransportStats::dup_suppressed,
+      &TransportStats::retries,      &TransportStats::timeouts};
+
   /// Per-server processed counts, grown lazily: a counter set holds no
   /// heap until its first per-server charge, and then only up to the
   /// highest server id it ever attributed traffic to. The missing tail is
@@ -63,10 +75,7 @@ struct TransportStats {
   }
 
   void reset() noexcept {
-    sent = processed = dropped = broadcasts = rpcs = 0;
-    dropped_down = dropped_link = dropped_partition = 0;
-    duplicated = dup_suppressed = 0;
-    retries = timeouts = 0;
+    for (const auto counter : kCounters) this->*counter = 0;
     per_server_processed.assign(per_server_processed.size(), 0);
   }
 
@@ -82,18 +91,7 @@ struct TransportStats {
   /// conservation law the merged stats are checked to still satisfy it.
   void merge(const TransportStats& other) {
     const bool both_held = conservation_holds() && other.conservation_holds();
-    sent += other.sent;
-    processed += other.processed;
-    dropped += other.dropped;
-    broadcasts += other.broadcasts;
-    rpcs += other.rpcs;
-    dropped_down += other.dropped_down;
-    dropped_link += other.dropped_link;
-    dropped_partition += other.dropped_partition;
-    duplicated += other.duplicated;
-    dup_suppressed += other.dup_suppressed;
-    retries += other.retries;
-    timeouts += other.timeouts;
+    for (const auto counter : kCounters) this->*counter += other.*counter;
     if (per_server_processed.size() < other.per_server_processed.size()) {
       per_server_processed.resize(other.per_server_processed.size(), 0);
     }
@@ -119,15 +117,8 @@ struct TransportStats {
   /// compared zero-extended, so lazy and eager vectors describing the
   /// same traffic compare equal.
   friend bool operator==(const TransportStats& a, const TransportStats& b) {
-    if (a.sent != b.sent || a.processed != b.processed ||
-        a.dropped != b.dropped || a.broadcasts != b.broadcasts ||
-        a.rpcs != b.rpcs || a.dropped_down != b.dropped_down ||
-        a.dropped_link != b.dropped_link ||
-        a.dropped_partition != b.dropped_partition ||
-        a.duplicated != b.duplicated ||
-        a.dup_suppressed != b.dup_suppressed || a.retries != b.retries ||
-        a.timeouts != b.timeouts) {
-      return false;
+    for (const auto counter : kCounters) {
+      if (a.*counter != b.*counter) return false;
     }
     const auto& pa = a.per_server_processed;
     const auto& pb = b.per_server_processed;

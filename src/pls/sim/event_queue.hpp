@@ -1,37 +1,27 @@
 // Time-ordered event queue for the discrete-event simulator.
 //
-// sim::EventQueue is an alias over one of two interchangeable
-// implementations with an identical ordering contract — (time, sequence),
-// so events scheduled for the same instant fire in scheduling order and
-// whole simulations are deterministic given a fixed RNG seed:
+// sim::EventQueue is the hierarchical timer wheel (TimerWheelQueue):
+// allocation-free InlineEvent callables, O(1) placement and O(1)
+// generation-tagged cancellation, popping in (time, sequence) order, so
+// events scheduled for the same instant fire in scheduling order and whole
+// simulations are deterministic given a fixed RNG seed. See
+// timer_wheel.hpp.
 //
-//   * TimerWheelQueue (default): hierarchical timer wheel with
-//     allocation-free InlineEvent callables, O(1) placement and O(1)
-//     generation-tagged cancellation. See timer_wheel.hpp.
-//   * ReferenceEventQueue (-DPLS_REFERENCE_QUEUE=ON): the original binary
-//     heap over std::function, kept as a differential oracle. See
-//     reference_queue.hpp.
-//
-// Both produce byte-identical traces; the build flag exists so any seeded
-// run can be replayed against the reference implementation when debugging
-// the wheel, and so benches can quote before/after numbers.
+// The binary heap it replaced survives as ReferenceEventQueue
+// (reference_queue.hpp), the oracle the typed queue contract suite, the
+// tier-2 lockstep fuzz and bench_event_queue drive next to the wheel.
 #pragma once
 
 #include "pls/sim/inline_event.hpp"
-#include "pls/sim/reference_queue.hpp"
 #include "pls/sim/timer_wheel.hpp"
 
 namespace pls::sim {
 
-#ifdef PLS_REFERENCE_QUEUE
-using EventQueue = ReferenceEventQueue;
-#else
 using EventQueue = TimerWheelQueue;
-#endif
 
-/// The callable type the active queue stores. std::function<void()> for the
-/// reference queue; move-only InlineEvent for the wheel. Generic call sites
-/// should pass lambdas straight to schedule_* and let the queue wrap them.
+/// The callable type the queue stores: a move-only InlineEvent. Generic
+/// call sites should pass lambdas straight to schedule_* and let the queue
+/// wrap them.
 using EventFn = EventQueue::Fn;
 
 }  // namespace pls::sim

@@ -2,11 +2,10 @@
 //
 // Ordering is (time, sequence): events scheduled for the same instant fire
 // in scheduling order. This is the implementation sim::EventQueue aliased
-// before the timer wheel landed; it is retained (a) behind the
-// PLS_REFERENCE_QUEUE build flag, which swaps it back in as the simulator's
-// queue so any seeded run can be replayed against it, and (b) as the oracle
-// the differential fuzz test (tests/test_event_queue_fuzz.cpp) drives in
-// lockstep with the wheel.
+// before the timer wheel landed; it is retained as the oracle the typed
+// queue contract suite (tests/test_event_queue.cpp) and the differential
+// fuzz test (tests/test_event_queue_fuzz.cpp) drive in lockstep with the
+// wheel, and as bench_event_queue's before/after baseline.
 //
 // Cancellation is lazy: a cancelled id is parked in `cancelled_` and the
 // matching heap item dropped when it surfaces. The live id set `pending_`

@@ -27,6 +27,9 @@ struct LookupFixture {
     }
   }
 
+  net::ClusterView view() { return net::ClusterView(net, kDefaultKey); }
+  const net::RetryPolicy& policy() const { return net.retry_policy(); }
+
   std::shared_ptr<net::FailureState> failures;
   net::Network net;
   std::vector<StrategyServer*> servers;
@@ -35,7 +38,7 @@ struct LookupFixture {
 
 TEST(SingleServerLookup, ReturnsUpToTEntries) {
   LookupFixture f({{1, 2, 3, 4}, {1, 2, 3, 4}});
-  const auto r = single_server_lookup(f.net, f.rng, 2);
+  const auto r = single_server_lookup(f.view(), f.rng, 2, f.policy());
   EXPECT_TRUE(r.satisfied);
   EXPECT_EQ(r.entries.size(), 2u);
   EXPECT_EQ(r.servers_contacted, 1u);
@@ -43,7 +46,7 @@ TEST(SingleServerLookup, ReturnsUpToTEntries) {
 
 TEST(SingleServerLookup, UnsatisfiedWhenServerTooSmall) {
   LookupFixture f({{1}, {1}});
-  const auto r = single_server_lookup(f.net, f.rng, 3);
+  const auto r = single_server_lookup(f.view(), f.rng, 3, f.policy());
   EXPECT_FALSE(r.satisfied);
   EXPECT_EQ(r.entries.size(), 1u);
   EXPECT_EQ(r.servers_contacted, 1u);  // never contacts a second server
@@ -53,7 +56,7 @@ TEST(SingleServerLookup, SkipsFailedServers) {
   LookupFixture f({{1, 2}, {3, 4}});
   f.net.fail(0);
   for (int i = 0; i < 20; ++i) {
-    const auto r = single_server_lookup(f.net, f.rng, 2);
+    const auto r = single_server_lookup(f.view(), f.rng, 2, f.policy());
     EXPECT_TRUE(r.satisfied);
     for (Entry v : r.entries) EXPECT_TRUE(v == 3 || v == 4);
   }
@@ -63,7 +66,7 @@ TEST(SingleServerLookup, AllServersDownYieldsEmptyResult) {
   LookupFixture f({{1}, {2}});
   f.net.fail(0);
   f.net.fail(1);
-  const auto r = single_server_lookup(f.net, f.rng, 1);
+  const auto r = single_server_lookup(f.view(), f.rng, 1, f.policy());
   EXPECT_FALSE(r.satisfied);
   EXPECT_EQ(r.servers_contacted, 0u);
   EXPECT_TRUE(r.entries.empty());
@@ -71,7 +74,7 @@ TEST(SingleServerLookup, AllServersDownYieldsEmptyResult) {
 
 TEST(RandomOrderLookup, MergesDistinctAcrossServers) {
   LookupFixture f({{1, 2}, {3, 4}, {5, 6}});
-  const auto r = random_order_lookup(f.net, f.rng, 5);
+  const auto r = random_order_lookup(f.view(), f.rng, 5, f.policy());
   EXPECT_TRUE(r.satisfied);
   EXPECT_GE(r.entries.size(), 5u);
   std::set<Entry> unique(r.entries.begin(), r.entries.end());
@@ -81,7 +84,7 @@ TEST(RandomOrderLookup, MergesDistinctAcrossServers) {
 
 TEST(RandomOrderLookup, StopsAsSoonAsSatisfied) {
   LookupFixture f({{1, 2, 3}, {1, 2, 3}, {1, 2, 3}});
-  const auto r = random_order_lookup(f.net, f.rng, 3);
+  const auto r = random_order_lookup(f.view(), f.rng, 3, f.policy());
   EXPECT_TRUE(r.satisfied);
   EXPECT_EQ(r.servers_contacted, 1u);
 }
@@ -90,7 +93,7 @@ TEST(RandomOrderLookup, OverlapForcesExtraContacts) {
   // Identical servers: a second contact adds nothing, so asking for more
   // than any one server holds exhausts all servers unsatisfied.
   LookupFixture f({{1, 2}, {1, 2}});
-  const auto r = random_order_lookup(f.net, f.rng, 3);
+  const auto r = random_order_lookup(f.view(), f.rng, 3, f.policy());
   EXPECT_FALSE(r.satisfied);
   EXPECT_EQ(r.entries.size(), 2u);
   EXPECT_EQ(r.servers_contacted, 2u);
@@ -99,7 +102,7 @@ TEST(RandomOrderLookup, OverlapForcesExtraContacts) {
 TEST(RandomOrderLookup, IgnoresFailedServers) {
   LookupFixture f({{1, 2}, {3, 4}});
   f.net.fail(1);
-  const auto r = random_order_lookup(f.net, f.rng, 4);
+  const auto r = random_order_lookup(f.view(), f.rng, 4, f.policy());
   EXPECT_FALSE(r.satisfied);
   EXPECT_EQ(r.servers_contacted, 1u);
   for (Entry v : r.entries) EXPECT_TRUE(v == 1 || v == 2);
@@ -110,7 +113,7 @@ TEST(StrideOrderLookup, DisjointStrideContactsMinimalServers) {
   // with s in {slot, slot+1} — stride-2 contacts are disjoint.
   LookupFixture f({{0, 1, 6, 7}, {0, 1, 2, 3}, {2, 3, 4, 5}, {4, 5, 6, 7}});
   for (int i = 0; i < 20; ++i) {
-    const auto r = stride_order_lookup(f.net, f.rng, 8, 2);
+    const auto r = stride_order_lookup(f.view(), f.rng, 8, 2, f.policy());
     EXPECT_TRUE(r.satisfied);
     EXPECT_EQ(r.servers_contacted, 2u);
     EXPECT_EQ(r.entries.size(), 8u);
@@ -119,7 +122,7 @@ TEST(StrideOrderLookup, DisjointStrideContactsMinimalServers) {
 
 TEST(StrideOrderLookup, SatisfiedByFirstServerWhenEnough) {
   LookupFixture f({{1, 2, 3}, {4, 5, 6}});
-  const auto r = stride_order_lookup(f.net, f.rng, 2, 1);
+  const auto r = stride_order_lookup(f.view(), f.rng, 2, 1, f.policy());
   EXPECT_TRUE(r.satisfied);
   EXPECT_EQ(r.servers_contacted, 1u);
 }
@@ -128,7 +131,7 @@ TEST(StrideOrderLookup, FallsBackToRandomOnFailure) {
   LookupFixture f({{1, 2}, {3, 4}, {5, 6}, {7, 8}});
   f.net.fail(2);
   for (int i = 0; i < 20; ++i) {
-    const auto r = stride_order_lookup(f.net, f.rng, 6, 2);
+    const auto r = stride_order_lookup(f.view(), f.rng, 6, 2, f.policy());
     EXPECT_TRUE(r.satisfied);  // remaining 3 servers still hold 6 entries
     EXPECT_EQ(r.servers_contacted, 3u);
   }
@@ -136,7 +139,7 @@ TEST(StrideOrderLookup, FallsBackToRandomOnFailure) {
 
 TEST(StrideOrderLookup, ExhaustsAllServersWhenUnsatisfiable) {
   LookupFixture f({{1}, {1}, {1}});
-  const auto r = stride_order_lookup(f.net, f.rng, 2, 1);
+  const auto r = stride_order_lookup(f.view(), f.rng, 2, 1, f.policy());
   EXPECT_FALSE(r.satisfied);
   EXPECT_EQ(r.servers_contacted, 3u);
   EXPECT_EQ(r.entries.size(), 1u);
@@ -144,14 +147,15 @@ TEST(StrideOrderLookup, ExhaustsAllServersWhenUnsatisfiable) {
 
 TEST(StrideOrderLookup, RejectsZeroStride) {
   LookupFixture f(std::vector<std::vector<Entry>>{{1}});
-  EXPECT_THROW(stride_order_lookup(f.net, f.rng, 1, 0), std::logic_error);
+  EXPECT_THROW(stride_order_lookup(f.view(), f.rng, 1, 0, f.policy()),
+               std::logic_error);
 }
 
 TEST(StrideOrderLookup, AllDownYieldsEmpty) {
   LookupFixture f({{1}, {2}});
   f.net.fail(0);
   f.net.fail(1);
-  const auto r = stride_order_lookup(f.net, f.rng, 1, 1);
+  const auto r = stride_order_lookup(f.view(), f.rng, 1, 1, f.policy());
   EXPECT_FALSE(r.satisfied);
   EXPECT_EQ(r.servers_contacted, 0u);
 }
@@ -161,7 +165,7 @@ TEST(SubsetLookup, RestrictsToCandidates) {
   LookupFixture f({{1, 2}, {3, 4}, {5, 6}});
   const std::vector<ServerId> candidates{0, 2};
   for (int i = 0; i < 20; ++i) {
-    const auto r = subset_lookup(f.net, f.rng, 4, candidates);
+    const auto r = subset_lookup(f.view(), f.rng, 4, candidates, f.policy());
     EXPECT_TRUE(r.satisfied);
     for (Entry v : r.entries) EXPECT_TRUE(v != 3 && v != 4);
   }
@@ -171,7 +175,7 @@ TEST(SubsetLookup, DuplicateAndDownCandidatesAreSkipped) {
   LookupFixture f({{1, 2}, {3, 4}});
   f.net.fail(1);
   const std::vector<ServerId> candidates{0, 0, 1, 0};
-  const auto r = subset_lookup(f.net, f.rng, 4, candidates);
+  const auto r = subset_lookup(f.view(), f.rng, 4, candidates, f.policy());
   EXPECT_FALSE(r.satisfied);
   EXPECT_EQ(r.servers_contacted, 1u);
   EXPECT_EQ(r.entries.size(), 2u);
@@ -179,7 +183,7 @@ TEST(SubsetLookup, DuplicateAndDownCandidatesAreSkipped) {
 
 TEST(SubsetLookup, EmptyCandidateListYieldsEmptyResult) {
   LookupFixture f(std::vector<std::vector<Entry>>{{1}});
-  const auto r = subset_lookup(f.net, f.rng, 1, {});
+  const auto r = subset_lookup(f.view(), f.rng, 1, {}, f.policy());
   EXPECT_FALSE(r.satisfied);
   EXPECT_EQ(r.servers_contacted, 0u);
 }
@@ -187,13 +191,13 @@ TEST(SubsetLookup, EmptyCandidateListYieldsEmptyResult) {
 TEST(SubsetLookup, RejectsOutOfRangeCandidates) {
   LookupFixture f(std::vector<std::vector<Entry>>{{1}});
   const std::vector<ServerId> candidates{5};
-  EXPECT_THROW(subset_lookup(f.net, f.rng, 1, candidates),
+  EXPECT_THROW(subset_lookup(f.view(), f.rng, 1, candidates, f.policy()),
                std::logic_error);
 }
 
 TEST(ExhaustiveLookup, CollectsEverythingFromEveryUpServer) {
   LookupFixture f({{1, 2, 3}, {3, 4}, {5}});
-  const auto r = exhaustive_lookup(f.net, f.rng);
+  const auto r = exhaustive_lookup(f.view(), f.rng, f.policy());
   EXPECT_TRUE(r.satisfied);
   EXPECT_EQ(r.servers_contacted, 3u);
   std::set<Entry> got(r.entries.begin(), r.entries.end());
@@ -203,10 +207,10 @@ TEST(ExhaustiveLookup, CollectsEverythingFromEveryUpServer) {
 TEST(ExhaustiveLookup, SkipsDownServersAndReportsEmptyCluster) {
   LookupFixture f({{1}, {2}});
   f.net.fail(0);
-  auto r = exhaustive_lookup(f.net, f.rng);
+  auto r = exhaustive_lookup(f.view(), f.rng, f.policy());
   EXPECT_EQ(r.entries, (std::vector<Entry>{2}));
   f.net.fail(1);
-  r = exhaustive_lookup(f.net, f.rng);
+  r = exhaustive_lookup(f.view(), f.rng, f.policy());
   EXPECT_FALSE(r.satisfied);
   EXPECT_TRUE(r.entries.empty());
 }
@@ -214,7 +218,7 @@ TEST(ExhaustiveLookup, SkipsDownServersAndReportsEmptyCluster) {
 TEST(LookupCostAccounting, EachContactIsOneProcessedMessage) {
   LookupFixture f({{1, 2}, {3, 4}, {5, 6}});
   f.net.reset_stats();
-  const auto r = random_order_lookup(f.net, f.rng, 6);
+  const auto r = random_order_lookup(f.view(), f.rng, 6, f.policy());
   EXPECT_EQ(f.net.stats().processed, r.servers_contacted);
 }
 

@@ -4,9 +4,10 @@
 // keeps >= 99% lookup satisfaction with the default retry policy, and
 // measurably less without retries. Everything is seeded: the numbers
 // asserted here are exact replays, not statistical hopes.
+#include <bit>
 #include <cmath>
 #include <memory>
-#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,7 +167,8 @@ TEST_F(LossyFixture, ReliableLinkKeepsTheLegacyCountersExactly) {
   // Default-constructed LinkModel: nothing lossy, nothing sequenced.
   net->fail(2);
   EXPECT_FALSE(net->client_send(2, StoreEntry{7}));
-  EXPECT_FALSE(net->client_rpc(2, LookupRequest{3}).has_value());
+  EXPECT_FALSE(net->client_call(2, LookupRequest{3}, net->retry_policy(), 4)
+                   .reply.has_value());
   const auto& s = net->stats();
   EXPECT_EQ(s.dropped, 2u);
   EXPECT_EQ(s.dropped_down, 2u);
@@ -220,12 +222,199 @@ TEST_F(LossyFixture, DeferredHotPathCapturesNeverSpillToTheEventSlab) {
   }
   sim.run_until(500.0);
   EXPECT_GT(sim.events_executed(), 200u);
-  if constexpr (std::is_same_v<sim::EventQueue, sim::TimerWheelQueue>) {
-    EXPECT_EQ(sim.queue().slab().fresh_blocks(), 0u)
-        << "a hot-path capture outgrew InlineEvent::kInlineCapacity";
-    EXPECT_EQ(sim.queue().slab().outstanding(), 0u);
-  }
+  EXPECT_EQ(sim.queue().slab().fresh_blocks(), 0u)
+      << "a hot-path capture outgrew InlineEvent::kInlineCapacity";
+  EXPECT_EQ(sim.queue().slab().outstanding(), 0u);
   expect_conserved(net->stats());
+}
+
+/// FNV-1a over 64-bit words, for pinning a whole run in one number.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void fold(std::uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((x >> (8 * byte)) & 0xffu)) * 0x100000001b3ULL;
+    }
+  }
+  void fold(const TransportStats& s, std::size_t servers) {
+    for (const std::uint64_t c :
+         {s.sent, s.processed, s.dropped, s.broadcasts, s.rpcs, s.dropped_down,
+          s.dropped_link, s.dropped_partition, s.duplicated, s.dup_suppressed,
+          s.retries, s.timeouts}) {
+      fold(c);
+    }
+    for (std::size_t i = 0; i < servers; ++i) {
+      fold(i < s.per_server_processed.size() ? s.per_server_processed[i] : 0);
+    }
+  }
+};
+
+/// Folds every delivery (host, kind, key, repair flag, sim time) into the
+/// digest. Every third StoreEntry is forwarded one hop, and every RPC
+/// callee sends one message of its own, so server fan-out draws from the
+/// same link stream in the middle of the sender's own attempt.
+class DigestServer final : public Server {
+ public:
+  DigestServer(ServerId id, Digest& digest, const sim::Simulator*& sim)
+      : Server(id), digest_(digest), sim_(sim) {}
+
+  void on_message(const Message& m, Network& net) override {
+    record(m);
+    const auto* store = std::get_if<StoreEntry>(&m);
+    if (store != nullptr && store->entry % 3 == 0) {
+      Message hop = RemoveEntry{store->entry};
+      hop.key = m.key;
+      hop.repair = m.repair;
+      net.send(id(), static_cast<ServerId>((id() + 1) % net.size()), hop);
+    }
+  }
+
+  Message on_rpc(const Message& m, Network& net) override {
+    record(m);
+    Message note = StoreEntry{1};
+    note.key = m.key;
+    note.repair = m.repair;
+    net.send(id(), static_cast<ServerId>((id() + 2) % net.size()), note);
+    return Ack{};
+  }
+
+ private:
+  void record(const Message& m) {
+    digest_.fold(id());
+    digest_.fold(m.index());
+    digest_.fold(m.key);
+    digest_.fold(m.repair);
+    digest_.fold(std::bit_cast<std::uint64_t>(sim_ != nullptr ? sim_->now()
+                                                              : -1.0));
+  }
+
+  Digest& digest_;
+  const sim::Simulator*& sim_;
+};
+
+TEST(TransportPin, EverySendPathMatchesThePinnedDigest) {
+  // Six phases of 400 seeded ops each over every send path, on two keys,
+  // with one op in five on the repair ledger. Every return value, every
+  // delivery and, after each phase, all four ledgers go into one FNV
+  // digest, so any change to which message is sent, dropped, duplicated,
+  // charged or delivered when, or to the order of link-stream draws,
+  // changes it. The phases: reliable (its second half with a server down
+  // and a split installed); drop 0.3 and dup 0.2; the same under a split
+  // partition; the same with two servers down; duplication only; and
+  // deferred delivery with fixed and exponential latency, a server failing
+  // mid-flight. The digest was taken from the transport that spelled out
+  // each send path's attempt loop and ledger charges by hand.
+  constexpr std::size_t kServers = 6;
+  auto failures = make_failure_state(kServers);
+  Network net(failures);
+  Digest d;
+  const sim::Simulator* clock = nullptr;
+  for (ServerId i = 0; i < kServers; ++i) {
+    net.add_server(std::make_unique<DigestServer>(i, d, clock));
+  }
+  ASSERT_EQ(net.add_channel(0xfeed), 1u);
+  Rng ops(2024);
+
+  const auto run_ops = [&](std::size_t count, bool rpc, sim::Simulator* sim) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto to = static_cast<ServerId>(ops.uniform(kServers));
+      const auto from = static_cast<ServerId>(ops.uniform(kServers));
+      const auto key = static_cast<KeyId>(ops.uniform(2));
+      const bool repair = ops.uniform(5) == 0;
+      const auto stamp = [&](Message m) {
+        m.key = key;
+        m.repair = repair;
+        return m;
+      };
+      switch (ops.uniform(rpc ? 5 : 4)) {
+        case 0:
+          d.fold(net.client_send(to, stamp(StoreEntry{ops.uniform(1000)})));
+          break;
+        case 1:
+          net.send(from, to, stamp(StoreEntry{ops.uniform(1000)}));
+          break;
+        case 2:
+          net.broadcast(from, stamp(AddRequest{ops.uniform(1000)}));
+          break;
+        case 3: {
+          const auto cap = static_cast<std::uint32_t>(1 + ops.uniform(5));
+          const auto call = net.client_call(to, stamp(LookupRequest{3}),
+                                            net.retry_policy(), cap);
+          d.fold(call.reply.has_value());
+          d.fold(call.attempts);
+          d.fold(call.timed_out);
+          break;
+        }
+        default: {
+          const auto reply = net.rpc(from, to, stamp(MigrateRequest{7, 0}));
+          d.fold(reply.has_value());
+          if (reply.has_value()) {
+            d.fold(reply->index());
+            d.fold(reply->key);
+            d.fold(reply->repair);
+          }
+          break;
+        }
+      }
+      if (sim != nullptr) sim->run_until(sim->now() + 0.25);
+    }
+  };
+  const auto end_phase = [&] {
+    for (const TransportStats* s : {&net.stats(), &net.key_stats(0),
+                                    &net.key_stats(1), &net.repair_stats()}) {
+      EXPECT_TRUE(s->conservation_holds());
+      d.fold(*s, kServers);
+    }
+  };
+  const auto link = [&](double drop, double dup, std::uint64_t seed) {
+    LinkModel model;
+    model.drop_probability = drop;
+    model.duplicate_probability = dup;
+    model.seed = seed;
+    return model;
+  };
+
+  run_ops(200, true, nullptr);  // 1: reliable
+  net.fail(2);
+  net.set_partition(split_partition(kServers, 5));
+  run_ops(200, true, nullptr);
+  net.recover(2);
+  net.clear_partition();
+  end_phase();
+
+  net.set_link_model(link(0.3, 0.2, 11));  // 2: drop and duplication
+  run_ops(400, true, nullptr);
+  end_phase();
+
+  net.set_partition(split_partition(kServers, 9));  // 3: a split
+  run_ops(400, true, nullptr);
+  net.clear_partition();
+  end_phase();
+
+  net.fail(1);  // 4: two servers down
+  net.fail(4);
+  run_ops(400, true, nullptr);
+  net.recover_all();
+  end_phase();
+
+  net.set_link_model(link(0.0, 0.2, 13));  // 5: duplication only
+  run_ops(400, true, nullptr);
+  end_phase();
+
+  LinkModel deferred = link(0.3, 0.2, 17);  // 6: deferred delivery
+  deferred.latency_mean = 0.3;
+  net.set_link_model(deferred);
+  sim::Simulator sim;
+  clock = &sim;
+  net.attach_simulator(&sim, 0.5);
+  run_ops(200, false, &sim);
+  net.fail(3);
+  run_ops(200, false, &sim);
+  net.recover(3);
+  sim.run_all();
+  end_phase();
+
+  EXPECT_EQ(d.h, 0x79017966e0ad2d62ULL);
 }
 
 TEST(RetryPolicyTest, TimeoutsBackOffExponentiallyWithJitter) {

@@ -83,7 +83,9 @@ TEST_F(NetworkFixture, BroadcastIncludesTheSender) {
 }
 
 TEST_F(NetworkFixture, ClientRpcChargesOneAndRepliesAreFree) {
-  const auto reply = net->client_rpc(1, LookupRequest{3});
+  const auto reply = net->client_call(1, LookupRequest{3},
+                                     net->retry_policy(), 1)
+                         .reply;
   ASSERT_TRUE(reply.has_value());
   EXPECT_TRUE(std::holds_alternative<Ack>(*reply));
   EXPECT_EQ(net->stats().processed, 1u);
@@ -92,7 +94,8 @@ TEST_F(NetworkFixture, ClientRpcChargesOneAndRepliesAreFree) {
 
 TEST_F(NetworkFixture, ClientRpcToDownServerReturnsNothing) {
   net->fail(1);
-  EXPECT_FALSE(net->client_rpc(1, LookupRequest{3}).has_value());
+  EXPECT_FALSE(net->client_call(1, LookupRequest{3}, net->retry_policy(), 1)
+                   .reply.has_value());
   EXPECT_EQ(net->stats().dropped, 1u);
 }
 

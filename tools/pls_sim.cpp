@@ -598,6 +598,22 @@ pls::metrics::TrialAccumulator run_one(const Options& opt,
   return trial;
 }
 
+/// The shared service every --keys mode runs: the same cluster, strategy,
+/// link and retry flags whichever engine drives it.
+pls::core::ServiceConfig make_service_config(const Options& opt,
+                                             std::uint64_t seed) {
+  pls::core::ServiceConfig cfg;
+  cfg.num_servers = opt.servers;
+  cfg.default_strategy.kind = opt.strategy;
+  cfg.default_strategy.param = opt.param;
+  cfg.default_strategy.probes = opt.strat.probes;
+  cfg.link = opt.link;
+  cfg.retry = opt.retry;
+  cfg.expected_keys = opt.keys;
+  cfg.seed = seed;
+  return cfg;
+}
+
 /// Shared-service mode (--keys K): K keys multiplexed on one cluster via
 /// PartialLookupService. Places h entries per key, optionally churns
 /// (each update is one balanced add+delete pair, round-robin over keys),
@@ -610,16 +626,7 @@ pls::metrics::TrialAccumulator run_service_one(const Options& opt,
   using namespace pls;
   metrics::TrialAccumulator trial;
 
-  core::ServiceConfig cfg;
-  cfg.num_servers = opt.servers;
-  cfg.default_strategy.kind = opt.strategy;
-  cfg.default_strategy.param = opt.param;
-  cfg.default_strategy.probes = opt.strat.probes;
-  cfg.link = opt.link;
-  cfg.retry = opt.retry;
-  cfg.expected_keys = opt.keys;
-  cfg.seed = seed;
-  core::PartialLookupService service(cfg);
+  core::PartialLookupService service(make_service_config(opt, seed));
 
   std::vector<Key> keys(opt.keys);
   for (std::size_t k = 0; k < opt.keys; ++k) {
@@ -750,14 +757,7 @@ pls::metrics::TrialAccumulator run_service_sharded(const Options& opt,
 
   sim::ShardedRuntimeConfig rcfg;
   rcfg.shards = opt.shard.shards;
-  rcfg.service.num_servers = opt.servers;
-  rcfg.service.default_strategy.kind = opt.strategy;
-  rcfg.service.default_strategy.param = opt.param;
-  rcfg.service.default_strategy.probes = opt.strat.probes;
-  rcfg.service.link = opt.link;
-  rcfg.service.retry = opt.retry;
-  rcfg.service.expected_keys = opt.keys;
-  rcfg.service.seed = seed;
+  rcfg.service = make_service_config(opt, seed);
   sim::ShardedRuntime runtime(rcfg);
 
   std::vector<Key> keys(opt.keys);
@@ -865,20 +865,6 @@ pls::workload::ProductionWorkloadConfig make_production_config(
   }
   wc.seed = seed;
   return wc;
-}
-
-pls::core::ServiceConfig make_service_config(const Options& opt,
-                                             std::uint64_t seed) {
-  pls::core::ServiceConfig cfg;
-  cfg.num_servers = opt.servers;
-  cfg.default_strategy.kind = opt.strategy;
-  cfg.default_strategy.param = opt.param;
-  cfg.default_strategy.probes = opt.strat.probes;
-  cfg.link = opt.link;
-  cfg.retry = opt.retry;
-  cfg.expected_keys = opt.keys;
-  cfg.seed = seed;
-  return cfg;
 }
 
 pls::workload::SaturationConfig make_saturation_config(const Options& opt) {
