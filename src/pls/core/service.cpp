@@ -24,6 +24,10 @@ PartialLookupService::PartialLookupService(ServiceConfig config)
   }
 }
 
+PartialLookupService::~PartialLookupService() {
+  while (!strategies_.empty()) strategies_.pop_back();
+}
+
 std::optional<KeyId> PartialLookupService::find_id(const Key& key) const {
   const auto it = ids_.find(key);
   if (it == ids_.end()) return std::nullopt;

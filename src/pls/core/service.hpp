@@ -56,6 +56,12 @@ struct ServiceConfig {
 class PartialLookupService {
  public:
   explicit PartialLookupService(ServiceConfig config);
+  /// Releases the strategies newest first, so each finds its membership
+  /// subscription at the back of the cluster's list: teardown is linear
+  /// in the key count, not quadratic.
+  ~PartialLookupService();
+  /// Moving leaves the source with no strategies and no cluster.
+  PartialLookupService(PartialLookupService&&) = default;
 
   /// place(k, {v...}): (re)initialises the entries of key k.
   void place(const Key& key, std::span<const Entry> entries);

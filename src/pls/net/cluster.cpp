@@ -1,6 +1,7 @@
 #include "pls/net/cluster.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "pls/common/check.hpp"
@@ -106,8 +107,10 @@ void Cluster::add_membership_listener(MembershipListener* listener) {
 }
 
 void Cluster::remove_membership_listener(MembershipListener* listener) {
-  listeners_.erase(std::remove(listeners_.begin(), listeners_.end(), listener),
-                   listeners_.end());
+  // Searched from the back: a service releases its strategies newest first,
+  // so each one finds itself last and teardown stays linear in the keys.
+  const auto it = std::find(listeners_.rbegin(), listeners_.rend(), listener);
+  if (it != listeners_.rend()) listeners_.erase(std::next(it).base());
 }
 
 void Cluster::notify(const MembershipChange& change) {

@@ -97,7 +97,8 @@ class Cluster {
   void wipe_host(ServerId id);
 
   /// Membership listeners are notified on add_host/remove_host, in
-  /// subscription order. Listeners must unsubscribe before destruction.
+  /// subscription order. Listeners must unsubscribe before destruction;
+  /// removal drops the listener's most recent subscription.
   void add_membership_listener(MembershipListener* listener);
   void remove_membership_listener(MembershipListener* listener);
 

@@ -36,16 +36,6 @@ ServerState FailureState::state(ServerId s) const {
   return state_[s];
 }
 
-bool FailureState::is_up(ServerId s) const {
-  PLS_CHECK(s < state_.size());
-  return state_[s] == ServerState::kUp;
-}
-
-bool FailureState::is_member(ServerId s) const {
-  PLS_CHECK(s < state_.size());
-  return state_[s] != ServerState::kGone;
-}
-
 void FailureState::fail(ServerId s) {
   PLS_CHECK(s < state_.size());
   if (state_[s] == ServerState::kUp) {

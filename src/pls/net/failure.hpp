@@ -27,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "pls/common/check.hpp"
 #include "pls/common/types.hpp"
 
 namespace pls::net {
@@ -44,9 +45,16 @@ class FailureState {
   /// Total ids ever allocated, including gone tombstones.
   std::size_t size() const noexcept { return state_.size(); }
   ServerState state(ServerId s) const;
-  bool is_up(ServerId s) const;
+  /// Every send attempt and broadcast target asks, so both are inline.
+  bool is_up(ServerId s) const {
+    PLS_CHECK(s < state_.size());
+    return state_[s] == ServerState::kUp;
+  }
   /// True for up and down servers; false for gone ones.
-  bool is_member(ServerId s) const;
+  bool is_member(ServerId s) const {
+    PLS_CHECK(s < state_.size());
+    return state_[s] != ServerState::kGone;
+  }
   std::size_t up_count() const noexcept { return up_.size(); }
 
   void fail(ServerId s);

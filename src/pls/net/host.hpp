@@ -2,10 +2,12 @@
 //
 // The paper's §2 multi-key service runs every key on *one* set of servers
 // ("a server S may store entries for many keys"). A HostServer is that
-// physical server: a transport endpoint (net::Server) owning a
-// FlatMap<KeyId, Tenant> of per-key protocol state. The Network stamps each
+// physical server: a transport endpoint (net::Server) owning a dense,
+// KeyId-indexed table of per-key protocol state. The Network stamps each
 // Message with its KeyId; the host routes the delivery to the matching
-// tenant, handing it a ClusterView scoped to that key.
+// tenant, handing it a ClusterView scoped to that key. A host models no
+// load: the saturation study's busy horizons and in-flight lookups belong
+// to workload::SaturationEngine, the only code that reads them.
 //
 // A ClusterView is the only transport handle a tenant (or a strategy's
 // client side) ever sees: it mirrors the Network's send/broadcast/call
@@ -20,7 +22,6 @@
 #include <optional>
 #include <vector>
 
-#include "pls/common/flat_map.hpp"
 #include "pls/common/types.hpp"
 #include "pls/net/network.hpp"
 #include "pls/net/server.hpp"
@@ -140,32 +141,6 @@ class ClusterView {
   bool repair_ = false;
 };
 
-/// Per-host load-model state for the saturation study
-/// (workload::SaturationEngine). `busy_until` is the host's work horizon in
-/// simulated time: every message it processes extends the horizon by the
-/// engine's per-message service time, so `busy_until - now` is the host's
-/// queue backlog. `admit_backlog_limit` is the admission-control knob: a
-/// lookup arriving when every live host's backlog exceeds the limit is shed
-/// at the door instead of queued (0 = admit everything). The counters
-/// attribute coalesced and rejected lookups to the host that absorbed or
-/// shed them. All fields are inert — nothing in the transport reads them —
-/// so hosts outside a saturation run behave exactly as before.
-struct HostLoad {
-  double busy_until = 0.0;
-  double admit_backlog_limit = 0.0;
-  std::uint64_t lookups_coalesced = 0;
-  std::uint64_t lookups_rejected = 0;
-};
-
-/// A lookup in flight on a host, published for server-side coalescing: a
-/// same-key lookup arriving before `completion` shares this one's answer
-/// instead of issuing its own wire traffic.
-struct InflightLookup {
-  double completion = 0.0;
-  std::uint32_t entries = 0;
-  bool satisfied = false;
-};
-
 /// A physical server hosting one tenant per key. Deliveries are routed by
 /// the message's KeyId; the transport-side dedup window (net::Server) is
 /// shared by all tenants, which is safe because sequence numbers are unique
@@ -192,52 +167,6 @@ class HostServer final : public Server {
   void on_message(const Message& m, Network& net) override;
   Message on_rpc(const Message& m, Network& net) override;
 
-  // --- saturation-model surface (see HostLoad) ---------------------------
-
-  HostLoad& load() noexcept { return load_; }
-  const HostLoad& load() const noexcept { return load_; }
-
-  /// This host's queue backlog at simulated time `now`.
-  double backlog(double now) const noexcept {
-    return load_.busy_until > now ? load_.busy_until - now : 0.0;
-  }
-
-  /// True when this host accepts new lookup work at `now` under its
-  /// admission knob (always true with the knob at 0).
-  bool admits(double now) const noexcept {
-    return load_.admit_backlog_limit <= 0.0 ||
-           backlog(now) <= load_.admit_backlog_limit;
-  }
-
-  /// Publishes `key`'s in-flight lookup for coalescing. Overwrites any
-  /// older record: the newest lookup defines the answer followers share.
-  void note_inflight(KeyId key, const InflightLookup& rec) {
-    inflight_.insert_or_assign(key, rec);
-  }
-
-  /// The live in-flight record for `key` at time `now`, or nullptr when
-  /// none exists or the recorded lookup already completed. Expired records
-  /// are erased on probe, so the table never outgrows the set of keys with
-  /// genuinely concurrent traffic.
-  const InflightLookup* inflight(KeyId key, double now) {
-    InflightLookup* rec = inflight_.find(key);
-    if (rec == nullptr) return nullptr;
-    if (rec->completion <= now) {
-      inflight_.erase(key);
-      return nullptr;
-    }
-    return rec;
-  }
-
-  /// Clears all load-model state (busy horizon, counters, in-flight
-  /// table). The admission knob is configuration and survives.
-  void reset_load() {
-    const double limit = load_.admit_backlog_limit;
-    load_ = HostLoad{};
-    load_.admit_backlog_limit = limit;
-    inflight_.clear();
-  }
-
  private:
   Tenant& route(const Message& m);
 
@@ -247,8 +176,6 @@ class HostServer final : public Server {
   /// host-wide wipe used to need: index order IS registration order.
   std::vector<std::unique_ptr<Tenant>> tenants_;
   std::size_t num_tenants_ = 0;
-  HostLoad load_;
-  FlatMap<KeyId, InflightLookup> inflight_;
 };
 
 }  // namespace pls::net

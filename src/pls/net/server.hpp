@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
+#include <vector>
 
+#include "pls/common/flat_map.hpp"
 #include "pls/common/types.hpp"
 #include "pls/net/message.hpp"
 
@@ -34,9 +34,11 @@ class Server {
 
   ServerId id() const noexcept { return id_; }
 
-  /// Transport entry point for one-way deliveries: suppresses duplicate
-  /// sequence numbers, then dispatches to on_message. Returns false when
-  /// the delivery was a duplicate and got discarded.
+  /// Transport entry point for one-way deliveries: suppresses a sequenced
+  /// delivery whose number is among the last kDedupWindow distinct ones
+  /// first delivered here (kNoSeq skips the window), then dispatches to
+  /// on_message. Returns false when the delivery was a duplicate and got
+  /// discarded.
   bool handle(const Message& m, Network& net, SeqNo seq);
 
   /// Handles a one-way message. May send further messages through `net`.
@@ -50,14 +52,21 @@ class Server {
   }
 
  private:
-  /// Sliding window of recently seen sequence numbers. Duplicates arrive
-  /// within one retransmission span of the original, so a bounded window
-  /// is safe; bounding it keeps long churn runs O(1) in memory.
+  /// Sliding window of the last kDedupWindow distinct sequence numbers,
+  /// in first-delivered order (deferred mode can reorder deliveries, so
+  /// this is not numeric order). Duplicates arrive within one
+  /// retransmission span of the original, so a bounded window is safe;
+  /// bounding it keeps long churn runs O(1) in memory. Both containers
+  /// grow with use, so a server that sees little sequenced traffic stays
+  /// small, and a full window allocates nothing.
   static constexpr std::size_t kDedupWindow = 4096;
 
   ServerId id_;
-  std::unordered_set<SeqNo> seen_;
-  std::deque<SeqNo> seen_order_;
+  FlatSet<SeqNo> seen_;
+  /// Ring of seen_'s members in first-delivered order; once it holds
+  /// kDedupWindow numbers, `oldest_` indexes the next to evict.
+  std::vector<SeqNo> seen_order_;
+  std::size_t oldest_ = 0;
   std::uint64_t duplicates_discarded_ = 0;
 };
 

@@ -39,7 +39,7 @@ SaturationEngine::SaturationEngine(core::PartialLookupService& service,
 
 double SaturationEngine::charge_servers(double arrival) {
   const auto& cur = service_.total_transport().per_server_processed;
-  if (before_.size() < cur.size()) before_.resize(cur.size(), 0);
+  PLS_CHECK(cur.size() == busy_until_.size());
   // Visit the contacted servers in ascending id: the op's messages queue
   // behind each host's existing backlog, and the op completes when its
   // last server visit finishes.
@@ -49,12 +49,10 @@ double SaturationEngine::charge_servers(double arrival) {
     PLS_CHECK(cur[s] >= before_[s]);
     const std::uint64_t delta = cur[s] - before_[s];
     if (delta == 0) continue;
-    net::HostLoad& load =
-        service_.cluster().host(static_cast<ServerId>(s)).load();
-    const double start = std::max(done, load.busy_until);
+    const double start = std::max(done, busy_until_[s]);
     const double finish =
         start + static_cast<double>(delta) * config_.service_time;
-    load.busy_until = finish;
+    busy_until_[s] = finish;
     done = finish;
     before_[s] = cur[s];
     touched_.push_back(static_cast<ServerId>(s));
@@ -66,10 +64,8 @@ void SaturationEngine::apply_lookup(const ProdEvent& ev,
                                     SaturationStats& stats) {
   const double t = ev.time;
   const std::size_t key = ev.key;
-  const KeyId kid = *service_.key_id(workload_.keys[key]);
-  net::Cluster& cluster = service_.cluster();
-  const net::FailureState& failures = service_.failures();
-  const std::size_t n = service_.num_servers();
+  const KeyId kid = ids_[key];
+  const std::size_t n = busy_until_.size();
 
   ++stats.lookups;
   ++stats.per_key_lookups[key];
@@ -90,48 +86,37 @@ void SaturationEngine::apply_lookup(const ProdEvent& ev,
     stats.latency.add(latency);
   };
 
-  // Coalescing: an up host holding a live same-key in-flight record
-  // absorbs this lookup — it shares the leader's answer and completion,
-  // at zero wire and server cost.
+  // Coalescing: the first up host (ascending id) holding a live same-key
+  // in-flight record absorbs this lookup — it shares the leader's answer
+  // and completion, at zero wire and server cost.
   if (config_.coalesce) {
-    for (ServerId s = 0; s < n; ++s) {
-      if (!failures.is_up(s) || !failures.is_member(s)) continue;
-      net::HostServer& host = cluster.host(s);
-      if (const net::InflightLookup* rec = host.inflight(kid, t)) {
-        ++stats.coalesced;
-        ++host.load().lookups_coalesced;
-        classify(rec->satisfied, rec->completion - t);
-        if (config_.record_trace) {
-          stats.trace.push_back(mix_hash(rec->entries, kCoalescedTag) ^
-                                static_cast<std::uint64_t>(rec->satisfied));
-        }
-        return;
+    const InflightLookup* row = &inflight_[static_cast<std::size_t>(kid) * n];
+    for (const ServerId s : service_.failures().up()) {
+      const InflightLookup& rec = row[s];
+      if (rec.completion <= t) continue;
+      ++stats.coalesced;
+      classify(rec.satisfied, rec.completion - t);
+      if (config_.record_trace) {
+        stats.trace.push_back(mix_hash(rec.entries, kCoalescedTag) ^
+                              static_cast<std::uint64_t>(rec.satisfied));
       }
+      return;
     }
   }
 
   // Admission control: the lookup's routing is decided inside the
-  // protocol, so the gate has to be conservative — shed when ANY live
+  // protocol, so the gate has to be conservative — shed when ANY up
   // host's backlog exceeds the limit, because that host may be exactly
   // where the lookup lands. This bounds every admitted lookup's queueing
   // delay by the limit, which is what keeps goodput at its plateau under
-  // overload instead of collapsing. The most-backlogged host takes the
-  // blame in its rejection counter.
+  // overload instead of collapsing.
   if (config_.admit_backlog_limit > 0.0) {
-    ServerId worst = kInvalidServer;
-    double worst_backlog = -1.0;
-    for (ServerId s = 0; s < n; ++s) {
-      if (!failures.is_up(s) || !failures.is_member(s)) continue;
-      const double backlog = cluster.host(s).backlog(t);
-      if (backlog > worst_backlog) {
-        worst = s;
-        worst_backlog = backlog;
-      }
+    double worst_backlog = 0.0;
+    for (const ServerId s : service_.failures().up()) {
+      worst_backlog = std::max(worst_backlog, busy_until_[s] - t);
     }
-    if (worst != kInvalidServer &&
-        worst_backlog > config_.admit_backlog_limit) {
+    if (worst_backlog > config_.admit_backlog_limit) {
       ++stats.rejected;
-      ++cluster.host(worst).load().lookups_rejected;
       if (config_.record_trace) stats.trace.push_back(kRejectedTag);
       return;
     }
@@ -139,8 +124,8 @@ void SaturationEngine::apply_lookup(const ProdEvent& ev,
 
   // Execute the real protocol; the transport deltas tell us which servers
   // worked and how much.
-  const core::LookupResult r = service_.partial_lookup(
-      workload_.keys[key], workload_.config.target_answer_size);
+  const core::LookupResult r = service_.strategy_at(kid).partial_lookup(
+      workload_.config.target_answer_size);
   const double completion = charge_servers(t);
   ++stats.executed;
   stats.total_servers_contacted += static_cast<double>(r.servers_contacted);
@@ -149,12 +134,12 @@ void SaturationEngine::apply_lookup(const ProdEvent& ev,
 
   // Publish the in-flight record on every server this lookup touched, so
   // same-key arrivals before `completion` coalesce onto it.
-  if (config_.coalesce && !touched_.empty()) {
-    const net::InflightLookup rec{completion,
-                                  static_cast<std::uint32_t>(r.entries.size()),
-                                  r.satisfied};
+  if (config_.coalesce) {
+    const InflightLookup rec{completion,
+                             static_cast<std::uint32_t>(r.entries.size()),
+                             r.satisfied};
     for (const ServerId s : touched_) {
-      cluster.host(s).note_inflight(kid, rec);
+      inflight_[static_cast<std::size_t>(kid) * n + s] = rec;
     }
   }
 }
@@ -166,18 +151,18 @@ SaturationStats SaturationEngine::run() {
   stats.per_key_satisfied.assign(num_keys, 0);
   stats.horizon = workload_.horizon;
 
+  ids_.resize(num_keys);
   for (std::size_t k = 0; k < num_keys; ++k) {
-    service_.place(workload_.keys[k], workload_.initial_entries[k]);
+    ids_[k] = service_.intern_key(workload_.keys[k]);
+    service_.strategy_at(ids_[k]).place(workload_.initial_entries[k]);
   }
   service_.reset_transport();
 
   const std::size_t n = service_.num_servers();
   before_.assign(n, 0);
-  for (ServerId s = 0; s < n; ++s) {
-    net::HostServer& host = service_.cluster().host(s);
-    host.reset_load();
-    host.load().admit_backlog_limit = config_.admit_backlog_limit;
-  }
+  busy_until_.assign(n, 0.0);
+  inflight_.assign(config_.coalesce ? service_.num_keys() * n : 0,
+                   InflightLookup{});
 
   for (const ProdEvent& ev : workload_.events) {
     switch (ev.kind) {
@@ -185,12 +170,12 @@ SaturationStats SaturationEngine::run() {
         apply_lookup(ev, stats);
         break;
       case ProdEventKind::kAdd:
-        service_.add(workload_.keys[ev.key], ev.entry);
+        service_.strategy_at(ids_[ev.key]).add(ev.entry);
         charge_servers(ev.time);
         ++stats.adds;
         break;
       case ProdEventKind::kDelete:
-        service_.erase(workload_.keys[ev.key], ev.entry);
+        service_.strategy_at(ids_[ev.key]).erase(ev.entry);
         charge_servers(ev.time);
         ++stats.deletes;
         break;

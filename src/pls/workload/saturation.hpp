@@ -3,22 +3,21 @@
 //
 // The paper's §6.3 bottleneck ablation counts messages; this engine turns
 // those counts into time. Every message a server processes costs
-// `service_time` simulated seconds on that server, so each host carries a
-// busy horizon (net::HostLoad::busy_until) that arriving work queues
-// behind. A lookup's latency is the completion of its last server visit
-// minus its arrival — under light load roughly (messages x service_time),
-// past saturation dominated by queueing delay. Arrivals are open-loop (the
-// generator's timestamps, independent of completions), which is what makes
-// goodput *collapse* under overload rather than plateau: work admitted
-// beyond capacity still consumes server time but finishes past its
-// deadline.
+// `service_time` simulated seconds on that server, so the engine keeps a
+// busy horizon per host that arriving work queues behind. A lookup's
+// latency is the completion of its last server visit minus its arrival —
+// under light load roughly (messages x service_time), past saturation
+// dominated by queueing delay. Arrivals are open-loop (the generator's
+// timestamps, independent of completions), which is what makes goodput
+// *collapse* under overload rather than plateau: work admitted beyond
+// capacity still consumes server time but finishes past its deadline.
 //
 // Two control knobs from the tentpole:
 //   * coalescing — a lookup finding a live same-key in-flight record on
-//     any up host (net::HostServer::inflight) shares that leader's answer:
-//     zero wire messages, zero server time, completion = the leader's.
+//     any up host shares that leader's answer: zero wire messages, zero
+//     server time, completion = the leader's.
 //   * admission control — with a backlog limit set, a lookup arriving when
-//     every up member's backlog exceeds the limit is rejected at the door
+//     any up member's backlog exceeds the limit is rejected at the door
 //     (counted, no transport), shedding load before it can poison the
 //     queues.
 //
@@ -26,9 +25,14 @@
 // exactly the same order, as a plain sequential replay of the stream — the
 // tier-2 differential grids pin that byte-identity; the queueing arithmetic
 // is pure observation.
+//
+// The load model lives here, not on the hosts: nothing in the transport
+// reads it, and in flat engine arrays a lookup's coalescing probe is one
+// contiguous row of n records.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "pls/core/service.hpp"
@@ -46,7 +50,7 @@ struct SaturationConfig {
   double deadline = 0.0;
   /// Server-side coalescing of concurrent same-key lookups.
   bool coalesce = false;
-  /// Admission-control backlog limit installed on every host (0 = off).
+  /// Admission-control backlog limit applied to every host (0 = off).
   double admit_backlog_limit = 0.0;
   /// Record a per-lookup fingerprint trace (differential tests).
   bool record_trace = false;
@@ -121,6 +125,16 @@ class SaturationEngine {
   SaturationStats run();
 
  private:
+  /// A lookup in flight on a host, published for server-side coalescing: a
+  /// same-key lookup arriving before `completion` shares this one's answer
+  /// instead of issuing its own wire traffic. The default record is no
+  /// lookup at all: it is live at no time.
+  struct InflightLookup {
+    double completion = -std::numeric_limits<double>::infinity();
+    std::uint32_t entries = 0;
+    bool satisfied = false;
+  };
+
   void apply_lookup(const ProdEvent& ev, SaturationStats& stats);
   /// Folds the op's per-server processed deltas into the hosts' busy
   /// horizons, records the touched servers in touched_, and returns the
@@ -130,6 +144,16 @@ class SaturationEngine {
   core::PartialLookupService& service_;
   const ProductionWorkload& workload_;
   SaturationConfig config_;
+  /// The KeyId of each workload key index, resolved once at placement.
+  std::vector<KeyId> ids_;
+  /// Each host's work horizon in simulated time, indexed by ServerId:
+  /// every message the host processes extends it by the service time, so
+  /// `busy_until_[s] - now` is host s's queue backlog.
+  std::vector<double> busy_until_;
+  /// Coalescing records, indexed [KeyId * num_servers + host]; sized only
+  /// when coalescing is on. A newer lookup overwrites an older one: the
+  /// newest defines the answer followers share.
+  std::vector<InflightLookup> inflight_;
   /// per_server_processed snapshot before the op in flight.
   std::vector<std::uint64_t> before_;
   /// Servers the op in flight charged (ascending), refreshed per op.

@@ -150,30 +150,47 @@ TEST(AllocRegression, SatisfiabilityProbeIsAllocationFree) {
 }
 
 TEST(AllocRegression, SteadyStateUpdatesAreAllocationFree) {
-  // add/delete on a reliable link: the client picks its target from the
-  // cached up list, and Hash-y and MultiProbe build their fan-out lists on
-  // the stack. Pairs of adding and deleting a fresh entry keep every store
-  // at its steady-state size; warm up first so store capacity has settled.
-  constexpr int kWarm = 64;
+  // add/delete: the client picks its target from the cached up list, and
+  // Hash-y and MultiProbe build their fan-out lists on the stack. On a
+  // lossy link every delivery also passes its host's dedup window, which
+  // allocates nothing once it holds its 4,096 sequence numbers; 20,000
+  // warm-up pairs fill every host's window. Pairs of adding and deleting a
+  // fresh entry keep every store at its steady-state size; warm up first
+  // so store capacity has settled.
+  struct Link {
+    const char* name;
+    double drop;
+    double dup;
+    std::uint32_t attempts;
+    int warm;
+  };
+  constexpr Link kLinks[] = {{"reliable", 0.0, 0.0, 4, 64},
+                             {"lossy", 0.02, 0.01, 3, 20000}};
   constexpr int kPairs = 2000;
-  for (const auto& [kind, param] : kFamilies) {
-    auto strategy = core::make_strategy(
-        StrategyConfig{.kind = kind, .param = param, .seed = 7}, 10);
-    strategy->place(iota_entries(100));
-    Entry next = 1000;
-    for (int i = 0; i < kWarm; ++i, ++next) {
-      strategy->add(next);
-      strategy->erase(next);
+  for (const Link& link : kLinks) {
+    for (const auto& [kind, param] : kFamilies) {
+      StrategyConfig cfg{.kind = kind, .param = param, .seed = 7};
+      cfg.link.drop_probability = link.drop;
+      cfg.link.duplicate_probability = link.dup;
+      cfg.retry.max_attempts = link.attempts;
+      auto strategy = core::make_strategy(cfg, 10);
+      strategy->place(iota_entries(100));
+      Entry next = 1000;
+      for (int i = 0; i < link.warm; ++i, ++next) {
+        strategy->add(next);
+        strategy->erase(next);
+      }
+      const AllocStats before = AllocStats::current();
+      for (int i = 0; i < kPairs; ++i, ++next) {
+        strategy->add(next);
+        strategy->erase(next);
+      }
+      const AllocStats delta = AllocStats::current() - before;
+      EXPECT_LE(static_cast<double>(delta.allocations) / (2.0 * kPairs), 0.01)
+          << core::to_string(kind) << " on a " << link.name << " link: "
+          << delta.allocations << " allocations over " << 2 * kPairs
+          << " updates";
     }
-    const AllocStats before = AllocStats::current();
-    for (int i = 0; i < kPairs; ++i, ++next) {
-      strategy->add(next);
-      strategy->erase(next);
-    }
-    const AllocStats delta = AllocStats::current() - before;
-    EXPECT_LE(static_cast<double>(delta.allocations) / (2.0 * kPairs), 0.01)
-        << core::to_string(kind) << ": " << delta.allocations
-        << " allocations over " << 2 * kPairs << " updates";
   }
 }
 

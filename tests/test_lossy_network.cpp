@@ -111,6 +111,37 @@ TEST_F(LossyFixture, DistinctMessagesAreNotMistakenForDuplicates) {
   EXPECT_EQ(net->stats().dup_suppressed, 0u);
 }
 
+TEST(DedupWindow, SuppressesExactlyTheLast4096FirstSeenSequenceNumbers) {
+  // The window holds the last 4,096 distinct sequence numbers in the order
+  // they were first delivered, evicting the oldest; a number that has left
+  // it is new again. Numeric order plays no part (deferred mode reorders).
+  auto failures = make_failure_state(1);
+  Network net(failures);
+  auto owned = std::make_unique<RecordingServer>(0);
+  RecordingServer& server = *owned;
+  net.add_server(std::move(owned));
+  const Message m = StoreEntry{5};
+  const auto deliver = [&](SeqNo seq) { return server.handle(m, net, seq); };
+
+  for (SeqNo s = 1; s <= 4096; ++s) ASSERT_TRUE(deliver(s)) << s;
+  EXPECT_FALSE(deliver(4096));
+  EXPECT_FALSE(deliver(1));
+  EXPECT_TRUE(deliver(4097));  // evicts 1
+  EXPECT_TRUE(deliver(1));     // evicts 2
+  EXPECT_TRUE(deliver(2));     // evicts 3
+  EXPECT_TRUE(deliver(3));     // evicts 4
+  EXPECT_FALSE(deliver(5));
+  EXPECT_TRUE(deliver(10000));
+  EXPECT_TRUE(deliver(9999));
+  EXPECT_FALSE(deliver(10000));
+  EXPECT_FALSE(deliver(9999));
+  EXPECT_TRUE(deliver(kNoSeq));  // unsequenced deliveries skip the window
+  EXPECT_TRUE(deliver(kNoSeq));
+
+  EXPECT_EQ(server.duplicates_discarded(), 5u);
+  EXPECT_EQ(server.received.size(), 4096u + 4u + 2u + 2u);
+}
+
 TEST_F(LossyFixture, RetriesEventuallyGetThrough) {
   set_link(0.4, 0.1, 3);
   std::size_t delivered = 0;

@@ -3,6 +3,7 @@
 // shedding, determinism, and the LatencyReservoir percentile estimator.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -330,6 +331,68 @@ TEST(SaturationEngine, RunsAreDeterministic) {
   EXPECT_EQ(a.rejected, b.rejected);
   EXPECT_EQ(a.latency.count(), b.latency.count());
   EXPECT_DOUBLE_EQ(a.latency.percentile(99.0), b.latency.percentile(99.0));
+}
+
+TEST(SaturationEngine, LossyRunMatchesThePinnedDigest) {
+  // One run with every mechanism live, folded into one FNV-1a digest: a
+  // lossy link (drops, duplicates, retries), flash crowds, correlated
+  // failures, partitions, coalescing and admission. The digest covers
+  // every stats counter, both per-key vectors, the per-lookup trace, the
+  // latency percentiles and the transport counters, so any change to a
+  // message, an Rng draw or an answer moves it.
+  auto wcfg = base_workload(6);
+  wcfg.flash_crowd = FlashCrowdConfig{60.0, 20.0, 2, 0.9};
+  wcfg.failures = CorrelatedFailureConfig{100.0, 2, 10.0};
+  wcfg.partitions = PartitionEventConfig{120.0, 15.0};
+  wcfg.offered_load = 20.0;
+  const auto wl = generate_production_workload(wcfg);
+
+  ServiceConfig scfg = base_service(6, StrategyKind::kRandomServer, 3);
+  scfg.link.drop_probability = 0.05;
+  scfg.link.duplicate_probability = 0.03;
+  scfg.retry.max_attempts = 3;
+  SaturationConfig eng;
+  eng.service_time = 0.2;
+  eng.deadline = 3.0;
+  eng.coalesce = true;
+  eng.admit_backlog_limit = 1.5;
+  eng.record_trace = true;
+  PartialLookupService service(scfg);
+  SaturationEngine engine(service, wl, eng);
+  const SaturationStats s = engine.run();
+  const net::TransportStats& ts = service.total_transport();
+  check_identities(s);
+  ASSERT_GT(s.coalesced, 0u);
+  ASSERT_GT(s.rejected, 0u);
+  ASSERT_GT(s.fail_events, 0u);
+  ASSERT_GT(s.partitions, 0u);
+  ASSERT_GT(ts.dup_suppressed, 0u);
+  ASSERT_GT(ts.retries, 0u);
+
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
+  const auto mix_double = [&mix](double v) {
+    mix(std::bit_cast<std::uint64_t>(v));
+  };
+  for (const std::size_t c :
+       {s.lookups, s.executed, s.coalesced, s.rejected, s.satisfied,
+        s.satisfied_late, s.unsatisfied, s.adds, s.deletes, s.fail_events,
+        s.recover_events, s.partitions}) {
+    mix(c);
+  }
+  mix_double(s.horizon);
+  mix_double(s.total_servers_contacted);
+  for (const auto c : s.per_key_lookups) mix(c);
+  for (const auto c : s.per_key_satisfied) mix(c);
+  for (const auto f : s.trace) mix(f);
+  mix(s.latency.count());
+  for (const double p : {0.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+    mix_double(s.latency.percentile(p));
+  }
+  mix_double(s.latency.mean());
+  for (const auto counter : net::TransportStats::kCounters) mix(ts.*counter);
+  for (const auto c : ts.per_server_processed) mix(c);
+  EXPECT_EQ(h, 0x32c942fc764a9b1cULL) << std::hex << "digest 0x" << h;
 }
 
 }  // namespace
