@@ -7,8 +7,9 @@
 // without failures (90% per-server availability).
 #include "bench_util.hpp"
 
+#include "pls/core/service.hpp"
 #include "pls/net/failure_injector.hpp"
-#include "pls/workload/service_workload.hpp"
+#include "pls/workload/generator.hpp"
 
 namespace {
 
@@ -54,13 +55,11 @@ metrics::TrialAccumulator one_trial(core::StrategyConfig per_key,
   }
 
   const auto& keys = wl.keys;
-  std::vector<std::vector<Entry>> live = wl.initial_entries;
   for (std::size_t k = 0; k < keys.size(); ++k) {
-    service.place(keys[k], live[k]);
+    service.place(keys[k], wl.initial_entries[k]);
   }
   const auto placed = service.total_transport().processed;
 
-  Rng delete_rng(seed ^ 0xde1e7e);
   std::size_t lookups = 0, satisfied = 0;
   double contacted = 0;
   for (const auto& ev : wl.events) {
@@ -74,28 +73,15 @@ metrics::TrialAccumulator one_trial(core::StrategyConfig per_key,
         }
       }
     }
-    switch (ev.kind) {
-      case workload::ServiceEventKind::kLookup: {
-        const auto r = service.partial_lookup(keys[ev.key_index], 3);
-        ++lookups;
-        satisfied += r.satisfied;
-        contacted += static_cast<double>(r.servers_contacted);
-        break;
-      }
-      case workload::ServiceEventKind::kAdd:
-        service.add(keys[ev.key_index], ev.entry);
-        live[ev.key_index].push_back(ev.entry);
-        break;
-      case workload::ServiceEventKind::kDelete: {
-        auto& pool = live[ev.key_index];
-        if (pool.empty()) break;
-        const auto idx =
-            static_cast<std::size_t>(delete_rng.uniform(pool.size()));
-        service.erase(keys[ev.key_index], pool[idx]);
-        pool[idx] = pool.back();
-        pool.pop_back();
-        break;
-      }
+    if (ev.kind == workload::ProdEventKind::kLookup) {
+      const auto r = service.partial_lookup(keys[ev.key], 3);
+      ++lookups;
+      satisfied += r.satisfied;
+      contacted += static_cast<double>(r.servers_contacted);
+    } else if (ev.kind == workload::ProdEventKind::kAdd) {
+      service.add(keys[ev.key], ev.entry);
+    } else {
+      service.erase(keys[ev.key], ev.entry);
     }
   }
   metrics::TrialAccumulator trial;

@@ -2,12 +2,12 @@
 # The full CI gate: configure + build, the tier1 (seed-protecting) test
 # suite, the perf-regression gate (allocation counters + determinism smoke,
 # including shard-count invariance of `plsim --shards`; nothing
-# wall-clock-sensitive), the repository benchmark's output checks, then the
-# sanitizer matrix over everything — which drives the sharded
-# thread-per-core runtime end to end under TSan.
+# wall-clock-sensitive), the repository benchmark's output checks, a
+# Release build, then the sanitizer matrix over everything — which drives
+# the sharded thread-per-core runtime end to end under TSan.
 #
 #   scripts/ci.sh            # tier1 + perf gate + benchmark checks +
-#                            # ASan/UBSan/TSan
+#                            # Release build + ASan/UBSan/TSan
 #   scripts/ci.sh --fast     # tier1 + perf gate (skip the rest)
 #
 # tier2 (stress/property sweeps) runs inside the sanitizer matrix; run it
@@ -40,6 +40,13 @@ fi
 # a byte-identical re-save of its restored snapshot.
 echo "=== ci: benchmark output checks ==="
 (cd "${repo_root}" && python3 perfbench/test_checks.py)
+
+# Built, not tested: GCC warns at -O3 where RelWithDebInfo's -O2 does not,
+# and -Werror makes each such warning a broken Release build.
+echo "=== ci: Release build ==="
+cmake -B "${repo_root}/build-release" -S "${repo_root}" \
+  -DCMAKE_BUILD_TYPE=Release
+cmake --build "${repo_root}/build-release" -j "${jobs}"
 
 "${repo_root}/scripts/run_sanitized_tests.sh" "$@"
 

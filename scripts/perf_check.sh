@@ -46,9 +46,10 @@
 #   PLS_PERF_TOLERANCE   relative tolerance for counter drift (default 0.10)
 #
 # Also runs a fast determinism smoke: bench_fig4 at --trials 4 must produce
-# byte-identical JSON for different --jobs values, and two seeded figures
-# must hash to the sha256 BENCH_trial_runner.json pins: fig4 at --trials 32
-# and fig12 (built on metrics::lookup_satisfiable) at --trials 4.
+# byte-identical JSON for different --jobs values, and three seeded benches
+# must hash to the sha256 BENCH_trial_runner.json pins: fig4 at --trials 32,
+# fig12 (built on metrics::lookup_satisfiable) at --trials 4 and
+# bench_service_mix (the service mix stream) at --trials 4.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -276,7 +277,8 @@ if [[ "${smoke}" == "1" ]]; then
   fi
   echo "fig4 aggregates bit-identical across --jobs 1 and --jobs ${smoke_jobs}"
 
-  echo "=== perf_check: figure pins (fig4 --trials 32, fig12 --trials 4) ==="
+  echo "=== perf_check: figure pins (fig4 --trials 32, fig12 and" \
+       "service_mix --trials 4) ==="
   # check_pin NAME KEY BENCH ARGS...: BENCH's --json-out must hash to the
   # sha256 at KEY (a dotted path) in BENCH_trial_runner.json.
   check_pin() {
@@ -304,6 +306,8 @@ EOF
     "${build_dir}/bench/bench_fig4_lookup_cost" --trials 32 --jobs 1
   check_pin fig12 fig12_pin.json_sha256 \
     "${build_dir}/bench/bench_fig12_cushion" --trials 4 --jobs 1
+  check_pin service_mix service_mix_pin.json_sha256 \
+    "${build_dir}/bench/bench_service_mix" --trials 4 --jobs 1
 
   echo "=== perf_check: determinism smoke (saturation, --smoke) ==="
   sa="${build_dir}/saturation_jobs1.json"

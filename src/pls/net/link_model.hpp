@@ -85,9 +85,9 @@ struct Partition {
 /// in their partition events; replaying the seed reproduces the split.
 inline Partition split_partition(std::size_t num_servers, std::uint64_t seed) {
   Partition p;
-  p.group_of.resize(num_servers, 0);
+  p.group_of.reserve(num_servers);
   for (std::size_t s = 0; s < num_servers; ++s) {
-    p.group_of[s] = static_cast<std::uint8_t>(mix_hash(s, seed) & 1u);
+    p.group_of.push_back(static_cast<std::uint8_t>(mix_hash(s, seed) & 1u));
   }
   if (num_servers >= 2) {
     p.group_of.front() = 0;

@@ -1,7 +1,9 @@
 // Discrete-event simulator: a clock plus an EventQueue.
 //
-// The paper's dynamic evaluation (§6.1) pre-generates timestamped update
-// events and replays them; pls::workload::Replayer drives this class.
+// The timed processes that run beside a replayed workload schedule here:
+// failure injection, background repair, deferred lossy deliveries. The
+// pre-sorted §6.1 update stream itself is applied in order by
+// pls::workload::Replayer; callers advance this clock to each event's time.
 #pragma once
 
 #include <cstdint>

@@ -16,6 +16,29 @@ constexpr std::uint64_t kScrambleStream = 0x5c7a0b1e;
 constexpr std::uint64_t kFlashStream = 0xf1a54c0d;
 constexpr std::uint64_t kSplitStream = 0x5b117;
 
+/// Names the keys "key/<k>" and gives each `entries_per_key` entries,
+/// numbered from 1 across the catalogue; returns the next unused entry.
+Entry fill_catalogue(ProductionWorkload& out, std::size_t num_keys,
+                     std::size_t entries_per_key) {
+  Entry next_entry = 1;
+  for (std::size_t k = 0; k < num_keys; ++k) {
+    out.keys.push_back("key/" + std::to_string(k));
+    std::vector<Entry> entries(entries_per_key);
+    for (auto& v : entries) v = next_entry++;
+    out.initial_entries.push_back(std::move(entries));
+  }
+  return next_entry;
+}
+
+/// Removes and returns a uniform entry of a non-empty live pool.
+Entry take_uniform(std::vector<Entry>& pool, Rng& rng) {
+  const std::size_t idx = static_cast<std::size_t>(rng.uniform(pool.size()));
+  const Entry victim = pool[idx];
+  pool[idx] = pool.back();
+  pool.pop_back();
+  return victim;
+}
+
 }  // namespace
 
 ZipfianKeyGenerator::ZipfianKeyGenerator(std::size_t num_keys, double theta,
@@ -145,16 +168,9 @@ ProductionWorkload generate_production_workload(
   ProductionWorkload out;
   out.config = config;
 
-  Entry next_entry = 1;
-  std::vector<std::vector<Entry>> live;
-  live.reserve(config.num_keys);
-  for (std::size_t k = 0; k < config.num_keys; ++k) {
-    out.keys.push_back("key/" + std::to_string(k));
-    std::vector<Entry> entries(config.entries_per_key);
-    for (auto& v : entries) v = next_entry++;
-    live.push_back(entries);
-    out.initial_entries.push_back(std::move(entries));
-  }
+  Entry next_entry =
+      fill_catalogue(out, config.num_keys, config.entries_per_key);
+  std::vector<std::vector<Entry>> live = out.initial_entries;
 
   const ZipfianKeyGenerator zipf(config.num_keys, config.zipf_theta,
                                  config.scramble, config.seed);
@@ -202,15 +218,10 @@ ProductionWorkload generate_production_workload(
                                      static_cast<std::uint32_t>(key), v, 0,
                                      0});
     } else {
-      auto& pool = live[key];
-      const std::size_t idx =
-          static_cast<std::size_t>(delete_rng.uniform(pool.size()));
-      const Entry victim = pool[idx];
-      pool[idx] = pool.back();
-      pool.pop_back();
       out.events.push_back(ProdEvent{t, ProdEventKind::kDelete,
-                                     static_cast<std::uint32_t>(key), victim,
-                                     0, 0});
+                                     static_cast<std::uint32_t>(key),
+                                     take_uniform(live[key], delete_rng), 0,
+                                     0});
     }
   }
 
@@ -262,6 +273,64 @@ ProductionWorkload generate_production_workload(
                    [](const ProdEvent& a, const ProdEvent& b) {
                      return a.time < b.time;
                    });
+  return out;
+}
+
+ProductionWorkload generate_service_workload(
+    const ServiceWorkloadConfig& config) {
+  PLS_CHECK_MSG(config.num_keys > 0, "need at least one key");
+  PLS_CHECK_MSG(config.entries_per_key > 0, "need entries per key");
+  PLS_CHECK_MSG(
+      config.lookup_interarrival > 0.0 && config.update_interarrival > 0.0,
+      "inter-arrival times must be positive");
+
+  ProductionWorkload out;
+  out.config.num_keys = config.num_keys;
+  out.config.entries_per_key = config.entries_per_key;
+  out.config.zipf_theta = config.zipf_alpha;
+  out.config.target_answer_size = config.target_answer_size;
+  out.config.num_events = config.num_events;
+  out.config.seed = config.seed;
+
+  Entry next_entry =
+      fill_catalogue(out, config.num_keys, config.entries_per_key);
+  std::vector<std::vector<Entry>> live = out.initial_entries;
+
+  Rng master(config.seed);
+  ZipfRankSampler popularity(config.num_keys, config.zipf_alpha);
+  Rng popularity_rng = master.fork(1);
+  Rng update_rng = master.fork(2);
+  PoissonProcess lookups(config.lookup_interarrival, master.fork(3));
+  PoissonProcess updates(config.update_interarrival, master.fork(4));
+  Rng delete_rng(config.seed ^ 0xde1e7e);
+
+  SimTime next_lookup = lookups.next();
+  SimTime next_update = updates.next();
+  out.events.reserve(config.num_events);
+  for (std::size_t drawn = 0; drawn < config.num_events; ++drawn) {
+    if (next_lookup <= next_update) {
+      const auto key =
+          static_cast<std::uint32_t>(popularity.sample(popularity_rng));
+      out.events.push_back(
+          ProdEvent{next_lookup, ProdEventKind::kLookup, key, 0, 0, 0});
+      next_lookup = lookups.next();
+      continue;
+    }
+    const auto key =
+        static_cast<std::uint32_t>(update_rng.uniform(config.num_keys));
+    auto& pool = live[key];
+    if (update_rng.bernoulli(0.5)) {
+      const Entry v = next_entry++;
+      pool.push_back(v);
+      out.events.push_back(
+          ProdEvent{next_update, ProdEventKind::kAdd, key, v, 0, 0});
+    } else if (!pool.empty()) {
+      out.events.push_back(ProdEvent{next_update, ProdEventKind::kDelete, key,
+                                     take_uniform(pool, delete_rng), 0, 0});
+    }
+    next_update = updates.next();
+  }
+  if (!out.events.empty()) out.horizon = out.events.back().time;
   return out;
 }
 

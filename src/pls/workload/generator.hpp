@@ -26,6 +26,9 @@
 // loop — applies the identical operations in the identical order. All
 // randomness flows from ProductionWorkloadConfig::seed; equal configs
 // produce byte-identical streams.
+//
+// generate_service_workload draws the plainer multi-key service mix
+// (Poisson lookups and Poisson churn, no failures) as the same stream type.
 #pragma once
 
 #include <cstdint>
@@ -207,5 +210,30 @@ struct ProductionWorkload {
 
 ProductionWorkload generate_production_workload(
     const ProductionWorkloadConfig& config);
+
+/// The multi-key service mix: Zipf-popular lookups and uniform churn, each
+/// arriving as its own Poisson process, with no failures or partitions.
+struct ServiceWorkloadConfig {
+  std::size_t num_keys = 50;
+  /// Zipf exponent of key lookup popularity (0 = uniform).
+  double zipf_alpha = 1.0;
+  /// Initial entries per key.
+  std::size_t entries_per_key = 30;
+  /// Mean time between lookups / between updates (Poisson each).
+  double lookup_interarrival = 1.0;
+  double update_interarrival = 10.0;
+  /// Events (lookups + updates) to draw. A delete drawn on a key with no
+  /// live entry emits nothing, so the stream can be shorter than this.
+  std::size_t num_events = 10000;
+  /// Target answer size of every lookup.
+  std::size_t target_answer_size = 3;
+  std::uint64_t seed = 1;
+};
+
+/// Draws the service mix as a production stream. Updates pick a uniform
+/// key and are adds or deletes with equal odds; each delete's victim is a
+/// uniform live entry of its key, drawn from Rng(seed ^ 0xde1e7e).
+ProductionWorkload generate_service_workload(
+    const ServiceWorkloadConfig& config);
 
 }  // namespace pls::workload

@@ -8,36 +8,29 @@ namespace pls::workload {
 Replayer::Replayer(core::Strategy& strategy, const GeneratedWorkload& workload)
     : strategy_(strategy), workload_(workload) {}
 
-ReplayResult Replayer::run() { return run_from(0); }
-
-ReplayResult Replayer::run_from(std::size_t start_index) {
+ReplayResult Replayer::run() {
   const auto& events = workload_.events;
-  PLS_CHECK_MSG(start_index <= events.size(),
-                "replay resume position beyond the workload");
   ReplayResult result;
-  if (start_index == 0) strategy_.place(workload_.initial);
-
-  sim::Simulator sim;
-  for (std::size_t i = start_index; i < events.size(); ++i) {
+  strategy_.place(workload_.initial);
+  SimTime previous = 0.0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
     const UpdateEvent& ev = events[i];
-    const SimTime gap =
-        (i + 1 < events.size()) ? events[i + 1].time - ev.time : 0.0;
-    const auto fire = [this, &result, &ev, i, gap] {
-      if (ev.kind == UpdateKind::kAdd) {
-        strategy_.add(ev.entry);
-        ++result.adds_applied;
-      } else {
-        strategy_.erase(ev.entry);
-        ++result.deletes_applied;
-      }
-      if (observer_) observer_(ev, i, gap);
-    };
-    static_assert(sim::InlineEvent::fits_inline<decltype(fire)>,
-                  "replay events must capture by reference/index to stay "
-                  "within the inline buffer");
-    sim.schedule_at(ev.time, fire);
+    PLS_CHECK_MSG(ev.time >= previous,
+                  "replay events must be sorted by time, from time 0");
+    previous = ev.time;
+    if (ev.kind == UpdateKind::kAdd) {
+      strategy_.add(ev.entry);
+      ++result.adds_applied;
+    } else {
+      strategy_.erase(ev.entry);
+      ++result.deletes_applied;
+    }
+    if (observer_) {
+      const SimTime gap =
+          (i + 1 < events.size()) ? events[i + 1].time - ev.time : 0.0;
+      observer_(ev, i, gap);
+    }
   }
-  sim.run_all();
   result.end_time = events.empty() ? 0.0 : events.back().time;
   return result;
 }

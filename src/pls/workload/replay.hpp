@@ -1,6 +1,6 @@
 // Replays a generated workload through a strategy, the way §6 runs its
-// dynamic experiments: events are scheduled into the discrete-event
-// simulator up front and executed in timestamp order.
+// dynamic experiments: the stream is pre-generated and sorted by time, so
+// its events are applied in index order.
 //
 // Observers can sample the strategy between events; ProbeAccumulators
 // weight each sample by the time until the next event, which is how Fig 12
@@ -10,7 +10,6 @@
 #include <functional>
 
 #include "pls/core/strategy.hpp"
-#include "pls/sim/simulator.hpp"
 #include "pls/workload/update_stream.hpp"
 
 namespace pls::workload {
@@ -33,15 +32,9 @@ class Replayer {
       std::function<void(const UpdateEvent&, std::size_t, SimTime)>;
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
+  /// Places the initial population, then applies every event. Rejects a
+  /// stream whose times fall below 0 or below their predecessor's.
   ReplayResult run();
-
-  /// Resumable stream position (snapshot/restore support): replays only
-  /// events [start_index, end) and skips the initial place(). The strategy
-  /// must already hold the state events [0, start_index) produced — e.g. a
-  /// wire::load_strategy'd snapshot taken at that position — so the tail
-  /// replay continues bit-identically to an uninterrupted run(). The
-  /// returned counters and end_time cover the tail only.
-  ReplayResult run_from(std::size_t start_index);
 
  private:
   core::Strategy& strategy_;

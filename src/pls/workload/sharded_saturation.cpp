@@ -106,4 +106,22 @@ SaturationStats fold_saturation_stats(std::span<const SaturationStats>
   return total;
 }
 
+SaturationStats run_sharded_saturation(sim::ShardedRuntime& runtime,
+                                       const ProductionWorkload& workload,
+                                       const SaturationConfig& config) {
+  const ShardedWorkload split =
+      split_production_workload(workload, runtime.shards());
+  std::vector<SaturationStats> per_shard(runtime.shards());
+  // Each shard runs a whole engine over its slice, shard-locally; slots
+  // are distinct objects, so the writes do not race.
+  runtime.run_on_shards([&split, &config, &per_shard](
+                            std::size_t s,
+                            core::PartialLookupService& service) {
+    SaturationEngine engine(service, split.shards[s], config);
+    per_shard[s] = engine.run();
+  });
+  runtime.drain();
+  return fold_saturation_stats(per_shard, split);
+}
+
 }  // namespace pls::workload

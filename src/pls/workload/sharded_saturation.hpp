@@ -10,7 +10,7 @@
 // recoveries, partitions) are duplicated into every shard's stream, in
 // the same relative order. Each shard then replays its slice on its own
 // thread against its own service replica, and the per-shard stats are
-// folded back in shard order.
+// folded back in shard order. run_sharded_saturation does all three.
 //
 // Determinism: per-shard event streams and fold order are pure functions
 // of (workload, shard count), so a sharded saturation run is replayable
@@ -27,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "pls/runtime/sharded_runtime.hpp"
 #include "pls/workload/generator.hpp"
 #include "pls/workload/saturation.hpp"
 
@@ -57,5 +58,13 @@ ShardedWorkload split_production_workload(const ProductionWorkload& workload,
 SaturationStats fold_saturation_stats(std::span<const SaturationStats>
                                           per_shard,
                                       const ShardedWorkload& split);
+
+/// Splits `workload` over the runtime's shards, runs one SaturationEngine
+/// per shard on that shard's worker against its service replica, and
+/// folds the stats. The runtime must be fresh, like an engine's service;
+/// it is drained on return.
+SaturationStats run_sharded_saturation(sim::ShardedRuntime& runtime,
+                                       const ProductionWorkload& workload,
+                                       const SaturationConfig& config);
 
 }  // namespace pls::workload

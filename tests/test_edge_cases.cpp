@@ -147,7 +147,7 @@ TEST(EdgeCases, ServiceWithSingleServerAndManyKeys) {
   cfg.seed = 7;
   PartialLookupService svc(cfg);
   for (int k = 0; k < 20; ++k) {
-    svc.place("k" + std::to_string(k), iota_entries(5));
+    svc.place(std::string("k").append(std::to_string(k)), iota_entries(5));
   }
   EXPECT_EQ(svc.total_storage(), 20u * 3u);
   EXPECT_TRUE(svc.partial_lookup("k7", 3).satisfied);

@@ -9,7 +9,7 @@
 #include "pls/core/service.hpp"
 #include "pls/net/failure_injector.hpp"
 #include "pls/overlay/reachability.hpp"
-#include "pls/workload/service_workload.hpp"
+#include "pls/workload/generator.hpp"
 
 namespace pls {
 namespace {
@@ -97,8 +97,6 @@ TEST(ExtensionsIntegration, ChurnPlusCrashRecoveryEndToEnd) {
     svc.place(wl.keys[k], wl.initial_entries[k]);
   }
 
-  std::vector<std::vector<Entry>> live = wl.initial_entries;
-  Rng delete_rng(23);
   std::size_t lookups = 0, satisfied = 0;
   for (const auto& ev : wl.events) {
     sim.run_until(ev.time);
@@ -109,26 +107,13 @@ TEST(ExtensionsIntegration, ChurnPlusCrashRecoveryEndToEnd) {
         svc.fail_server(s);
       }
     }
-    switch (ev.kind) {
-      case workload::ServiceEventKind::kLookup: {
-        ++lookups;
-        satisfied += svc.partial_lookup(wl.keys[ev.key_index], 3).satisfied;
-        break;
-      }
-      case workload::ServiceEventKind::kAdd:
-        svc.add(wl.keys[ev.key_index], ev.entry);
-        live[ev.key_index].push_back(ev.entry);
-        break;
-      case workload::ServiceEventKind::kDelete: {
-        auto& pool = live[ev.key_index];
-        if (pool.empty()) break;
-        const auto idx =
-            static_cast<std::size_t>(delete_rng.uniform(pool.size()));
-        svc.erase(wl.keys[ev.key_index], pool[idx]);
-        pool[idx] = pool.back();
-        pool.pop_back();
-        break;
-      }
+    if (ev.kind == workload::ProdEventKind::kLookup) {
+      ++lookups;
+      satisfied += svc.partial_lookup(wl.keys[ev.key], 3).satisfied;
+    } else if (ev.kind == workload::ProdEventKind::kAdd) {
+      svc.add(wl.keys[ev.key], ev.entry);
+    } else {
+      svc.erase(wl.keys[ev.key], ev.entry);
     }
   }
   ASSERT_GT(lookups, 0u);

@@ -81,6 +81,25 @@ TEST(Replayer, RoundRobinSurvivesFullReplay) {
   EXPECT_EQ(s->storage_cost(), live.size() * 2);
 }
 
+TEST(Replayer, RejectsAStreamThatGoesBackInTime) {
+  const auto s = make(core::StrategyKind::kHash, 2);
+  GeneratedWorkload backwards;
+  backwards.events = {{5.0, UpdateKind::kAdd, 1}, {3.0, UpdateKind::kAdd, 2}};
+  EXPECT_THROW(Replayer(*s, backwards).run(), std::logic_error);
+
+  GeneratedWorkload before_zero;
+  before_zero.events = {{-1.0, UpdateKind::kAdd, 1}};
+  EXPECT_THROW(Replayer(*s, before_zero).run(), std::logic_error);
+
+  // Ties are in order: equal times apply in index order.
+  GeneratedWorkload ties;
+  ties.events = {{2.0, UpdateKind::kAdd, 1}, {2.0, UpdateKind::kDelete, 1}};
+  const auto result = Replayer(*s, ties).run();
+  EXPECT_EQ(result.adds_applied, 1u);
+  EXPECT_EQ(result.deletes_applied, 1u);
+  EXPECT_EQ(s->placement().distinct_entries(), 0u);
+}
+
 TEST(UnavailableFraction, ZeroForFullReplication) {
   const auto wl = small_workload();
   const auto s = make(core::StrategyKind::kFullReplication, 0);

@@ -279,28 +279,19 @@ core::ServiceConfig saturation_service_config(std::uint64_t seed) {
   return scfg;
 }
 
-/// Runs the sharded saturation path exactly as tools/pls_sim does: split
-/// the workload, replay each slice on its owning shard's worker via
-/// run_on_shards, fold in shard order.
-workload::SaturationStats run_sharded_saturation(
+/// Runs workload::run_sharded_saturation, the path plsim's saturation mode
+/// takes, on a fresh S-shard runtime.
+workload::SaturationStats saturate_on_runtime(
     const workload::ProductionWorkload& wl, std::size_t shards,
     const core::ServiceConfig& scfg, const workload::SaturationConfig& sat,
     net::TransportStats* transport_out = nullptr) {
-  const auto split = workload::split_production_workload(wl, shards);
   sim::ShardedRuntimeConfig rcfg;
   rcfg.shards = shards;
   rcfg.service = scfg;
   sim::ShardedRuntime runtime(rcfg);
-  std::vector<workload::SaturationStats> per_shard(shards);
-  runtime.run_on_shards([&split, &sat, &per_shard](
-                            std::size_t s,
-                            core::PartialLookupService& service) {
-    workload::SaturationEngine engine(service, split.shards[s], sat);
-    per_shard[s] = engine.run();
-  });
-  runtime.drain();
+  const auto stats = workload::run_sharded_saturation(runtime, wl, sat);
   if (transport_out != nullptr) *transport_out = runtime.total_transport();
-  return workload::fold_saturation_stats(per_shard, split);
+  return stats;
 }
 
 TEST(ShardedSaturation, SingleShardFoldIsByteIdenticalToSequentialEngine) {
@@ -317,7 +308,7 @@ TEST(ShardedSaturation, SingleShardFoldIsByteIdenticalToSequentialEngine) {
 
   net::TransportStats sharded_transport;
   const auto sharded =
-      run_sharded_saturation(wl, 1, scfg, sat, &sharded_transport);
+      saturate_on_runtime(wl, 1, scfg, sat, &sharded_transport);
 
   EXPECT_EQ(sharded.lookups, seq.lookups);
   EXPECT_EQ(sharded.executed, seq.executed);
@@ -364,7 +355,7 @@ TEST(ShardedSaturation, PerKeyProtocolOutcomesAreShardCountInvariant) {
   const auto seq = seq_engine.run();
 
   for (const std::size_t S : {2u, 4u, 8u}) {
-    const auto sharded = run_sharded_saturation(wl, S, scfg, sat);
+    const auto sharded = saturate_on_runtime(wl, S, scfg, sat);
     SCOPED_TRACE("shards=" + std::to_string(S));
     EXPECT_EQ(sharded.lookups, seq.lookups);
     EXPECT_EQ(sharded.adds, seq.adds);
@@ -388,8 +379,8 @@ TEST(ShardedSaturation, FixedShardCountFoldIsDeterministic) {
   sat.admit_backlog_limit = 20.0;
 
   net::TransportStats t1, t2;
-  const auto a = run_sharded_saturation(wl, 4, scfg, sat, &t1);
-  const auto b = run_sharded_saturation(wl, 4, scfg, sat, &t2);
+  const auto a = saturate_on_runtime(wl, 4, scfg, sat, &t1);
+  const auto b = saturate_on_runtime(wl, 4, scfg, sat, &t2);
   EXPECT_EQ(a.lookups, b.lookups);
   EXPECT_EQ(a.executed, b.executed);
   EXPECT_EQ(a.coalesced, b.coalesced);

@@ -80,6 +80,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -614,104 +615,6 @@ pls::core::ServiceConfig make_service_config(const Options& opt,
   return cfg;
 }
 
-/// Shared-service mode (--keys K): K keys multiplexed on one cluster via
-/// PartialLookupService. Places h entries per key, optionally churns
-/// (each update is one balanced add+delete pair, round-robin over keys),
-/// runs L partial lookups round-robin over keys, and cross-checks the
-/// tenancy conservation law: per-key transport channels merged over all
-/// keys must equal the cluster-wide counter set. Pure function of
-/// (opt, seed), like run_one.
-pls::metrics::TrialAccumulator run_service_one(const Options& opt,
-                                               std::uint64_t seed) {
-  using namespace pls;
-  metrics::TrialAccumulator trial;
-
-  core::PartialLookupService service(make_service_config(opt, seed));
-
-  std::vector<Key> keys(opt.keys);
-  for (std::size_t k = 0; k < opt.keys; ++k) {
-    keys[k] = "key-" + std::to_string(k);
-  }
-
-  // Snapshot/restore: the churn loop is the experiment's update stream, so
-  // the resumable position is simply the number of updates applied. A
-  // restored run skips placement (the snapshot holds the placed state) and
-  // the already-applied updates; everything after the snapshot point —
-  // remaining churn, then all measured lookups — replays identically, so
-  // the final panel matches an uninterrupted run byte-for-byte.
-  std::size_t updates_done = 0;
-  if (!opt.restore_in.empty()) {
-    const ExperimentSnapshot snap =
-        read_experiment_snapshot(opt.restore_in, 0, 0);
-    if (const auto err = wire::load_service(service, snap.blob)) {
-      std::cerr << "error: " << *err << "\n";
-      std::exit(1);
-    }
-    updates_done = snap.updates_done;
-    if (updates_done > opt.updates ||
-        (opt.snapshot_at_set && opt.snapshot_at < updates_done)) {
-      std::cerr << "error: snapshot was taken after " << updates_done
-                << " updates; rerun with the flags it was written under\n";
-      std::exit(1);
-    }
-  } else {
-    std::vector<Entry> entries(opt.entries);
-    for (std::size_t k = 0; k < opt.keys; ++k) {
-      for (std::size_t i = 0; i < opt.entries; ++i) {
-        entries[i] = static_cast<Entry>(opt.entries * k + i + 1);
-      }
-      service.place(keys[k], entries);
-    }
-  }
-
-  const auto maybe_snapshot = [&](std::size_t done) {
-    if (!opt.snapshot_at_set || done != opt.snapshot_at) return;
-    write_experiment_snapshot(opt.snapshot_out, 0, 0, done,
-                              wire::save_service(service));
-  };
-  maybe_snapshot(updates_done);
-  for (std::size_t u = updates_done; u < opt.updates; ++u) {
-    const Key& key = keys[u % opt.keys];
-    const Entry v = static_cast<Entry>(1'000'000 + u);
-    service.add(key, v);
-    service.erase(key, v);
-    maybe_snapshot(u + 1);
-  }
-
-  std::size_t contacted = 0, satisfied = 0;
-  for (std::size_t i = 0; i < opt.lookups; ++i) {
-    const auto result =
-        service.partial_lookup(keys[i % opt.keys], opt.target);
-    contacted += result.servers_contacted;
-    if (result.satisfied) ++satisfied;
-  }
-
-  trial.add("svc/keys", static_cast<double>(service.num_keys()));
-  trial.add("svc/storage", static_cast<double>(service.total_storage()));
-  trial.add("svc/lookup_cost",
-            opt.lookups > 0 ? static_cast<double>(contacted) /
-                                  static_cast<double>(opt.lookups)
-                            : 0.0);
-  trial.add("svc/failure_rate",
-            opt.lookups > 0
-                ? 1.0 - static_cast<double>(satisfied) /
-                            static_cast<double>(opt.lookups)
-                : 0.0);
-  trial.add_transport("net/", service.total_transport());
-
-  net::TransportStats per_key_sum;
-  for (const auto& key : keys) per_key_sum.merge(service.key_transport(key));
-  trial.add("svc/transport_conserved",
-            per_key_sum == service.total_transport() ? 1.0 : 0.0);
-  // The repair attribution overlay obeys the same conservation law as any
-  // other channel (trivially, all-zero, until a repair process runs).
-  trial.add("svc/repair_conserved",
-            service.cluster().network().repair_stats().conservation_holds()
-                ? 1.0
-                : 0.0);
-  return trial;
-}
-
 /// Appends the sharded-execution extras to a trial: per-shard counters
 /// plus the cross-shard checks. Appended AFTER the shared panel so the
 /// sequential run's metric set is an exact insertion-order prefix of the
@@ -745,34 +648,125 @@ void add_shard_panel(pls::metrics::TrialAccumulator& trial,
             (each_conserved && folded == total) ? 1.0 : 0.0);
 }
 
-/// Shared-service mode on the sharded thread-per-core runtime
-/// (--keys K --shards S): the exact experiment run_service_one runs,
-/// executed across S worker shards. Emits the identical svc/* + net/*
-/// panel — bit-identical values in the identical order, for any S (the
-/// seed-derivation contract) — then the sharded extras.
-pls::metrics::TrialAccumulator run_service_sharded(const Options& opt,
-                                                   std::uint64_t seed) {
-  using namespace pls;
-  metrics::TrialAccumulator trial;
+// --- the two executors ----------------------------------------------------
+//
+// A --keys run drives one PartialLookupService, or with --shards a
+// ShardedRuntime. Both place, add, erase and report keys, storage and
+// transport under the same names; these overloads are all that differs.
 
+std::vector<std::uint8_t> save_snapshot(pls::core::PartialLookupService& svc) {
+  return pls::wire::save_service(svc);
+}
+std::vector<std::uint8_t> save_snapshot(pls::sim::ShardedRuntime& runtime) {
+  return runtime.save_snapshot();
+}
+
+std::optional<std::string> load_snapshot(
+    pls::core::PartialLookupService& svc,
+    const std::vector<std::uint8_t>& blob) {
+  return pls::wire::load_service(svc, blob);
+}
+std::optional<std::string> load_snapshot(
+    pls::sim::ShardedRuntime& runtime, const std::vector<std::uint8_t>& blob) {
+  return runtime.load_snapshot(blob);
+}
+
+/// Runs L partial lookups round-robin over `keys` and tallies them.
+pls::metrics::ShardLookupCounters run_lookups(
+    pls::core::PartialLookupService& svc, const std::vector<pls::Key>& keys,
+    const Options& opt) {
+  pls::metrics::ShardLookupCounters tally;
+  for (std::size_t i = 0; i < opt.lookups; ++i) {
+    const auto result = svc.partial_lookup(keys[i % opt.keys], opt.target);
+    tally.servers_contacted += result.servers_contacted;
+    if (result.satisfied) ++tally.satisfied;
+  }
+  return tally;
+}
+pls::metrics::ShardLookupCounters run_lookups(
+    pls::sim::ShardedRuntime& runtime, const std::vector<pls::Key>& keys,
+    const Options& opt) {
+  for (std::size_t i = 0; i < opt.lookups; ++i) {
+    runtime.lookup(keys[i % opt.keys], opt.target);
+  }
+  return runtime.lookup_totals();
+}
+
+pls::net::TransportStats repair_transport(
+    pls::core::PartialLookupService& svc) {
+  return svc.cluster().network().repair_stats();
+}
+pls::net::TransportStats repair_transport(pls::sim::ShardedRuntime& runtime) {
+  return runtime.total_repair_transport();
+}
+
+pls::workload::SaturationStats run_engine(
+    pls::core::PartialLookupService& svc,
+    const pls::workload::ProductionWorkload& wl,
+    const pls::workload::SaturationConfig& sc) {
+  return pls::workload::SaturationEngine(svc, wl, sc).run();
+}
+/// Each shard replays its key slice of `wl` (S shards model S
+/// thread-per-core capacity slices, so queueing observables vary with S).
+pls::workload::SaturationStats run_engine(
+    pls::sim::ShardedRuntime& runtime,
+    const pls::workload::ProductionWorkload& wl,
+    const pls::workload::SaturationConfig& sc) {
+  return pls::workload::run_sharded_saturation(runtime, wl, sc);
+}
+
+/// Builds the executor --shards picks and runs `body` on it. A runtime's
+/// trial ends with the per-shard panel, after everything `body` recorded.
+template <typename Body>
+pls::metrics::TrialAccumulator on_executor(const Options& opt,
+                                           std::uint64_t seed, Body body) {
+  using namespace pls;
+  if (!opt.shard.shards_set) {
+    core::PartialLookupService svc(make_service_config(opt, seed));
+    return body(svc);
+  }
   sim::ShardedRuntimeConfig rcfg;
   rcfg.shards = opt.shard.shards;
   rcfg.service = make_service_config(opt, seed);
   sim::ShardedRuntime runtime(rcfg);
+  metrics::TrialAccumulator trial = body(runtime);
+  add_shard_panel(trial, runtime, runtime.total_transport());
+  return trial;
+}
+
+/// Shared-service mode (--keys K): K keys multiplexed on one cluster.
+/// Places h entries per key, optionally churns (each update is one
+/// balanced add+delete pair, round-robin over keys), runs L partial
+/// lookups round-robin over keys, and cross-checks the tenancy
+/// conservation law: per-key transport channels merged over all keys must
+/// equal the cluster-wide counter set. The svc/* and net/* panel is
+/// bit-identical on either executor, for any shard count.
+template <typename Executor>
+pls::metrics::TrialAccumulator run_service(const Options& opt,
+                                           Executor& exec) {
+  using namespace pls;
+  metrics::TrialAccumulator trial;
 
   std::vector<Key> keys(opt.keys);
   for (std::size_t k = 0; k < opt.keys; ++k) {
     keys[k] = "key-" + std::to_string(k);
   }
 
-  // Same resumable-position scheme as run_service_one; the snapshot blob
-  // here is ShardedRuntime::save_snapshot, which drains to a quiescent
-  // barrier first, so "updates_done" is exact, not approximate.
+  // Snapshot/restore: the churn loop is the experiment's update stream, so
+  // the resumable position is simply the number of updates applied. A
+  // restored run skips placement (the snapshot holds the placed state) and
+  // the already-applied updates; everything after the snapshot point —
+  // remaining churn, then all measured lookups — replays identically, so
+  // the final panel matches an uninterrupted run byte-for-byte. The
+  // runtime drains to a quiescent barrier before it saves, so
+  // "updates_done" is exact there too.
+  const std::uint8_t mode = opt.shard.shards_set ? 1 : 0;
+  const std::size_t shards = opt.shard.shards_set ? opt.shard.shards : 0;
   std::size_t updates_done = 0;
   if (!opt.restore_in.empty()) {
     const ExperimentSnapshot snap =
-        read_experiment_snapshot(opt.restore_in, 1, opt.shard.shards);
-    if (const auto err = runtime.load_snapshot(snap.blob)) {
+        read_experiment_snapshot(opt.restore_in, mode, shards);
+    if (const auto err = load_snapshot(exec, snap.blob)) {
       std::cerr << "error: " << *err << "\n";
       std::exit(1);
     }
@@ -789,58 +783,51 @@ pls::metrics::TrialAccumulator run_service_sharded(const Options& opt,
       for (std::size_t i = 0; i < opt.entries; ++i) {
         entries[i] = static_cast<Entry>(opt.entries * k + i + 1);
       }
-      runtime.place(keys[k], entries);
+      exec.place(keys[k], entries);
     }
   }
 
   const auto maybe_snapshot = [&](std::size_t done) {
     if (!opt.snapshot_at_set || done != opt.snapshot_at) return;
-    write_experiment_snapshot(opt.snapshot_out, 1, opt.shard.shards, done,
-                              runtime.save_snapshot());
+    write_experiment_snapshot(opt.snapshot_out, mode, shards, done,
+                              save_snapshot(exec));
   };
   maybe_snapshot(updates_done);
   for (std::size_t u = updates_done; u < opt.updates; ++u) {
     const Key& key = keys[u % opt.keys];
     const Entry v = static_cast<Entry>(1'000'000 + u);
-    runtime.add(key, v);
-    runtime.erase(key, v);
+    exec.add(key, v);
+    exec.erase(key, v);
     maybe_snapshot(u + 1);
   }
 
-  for (std::size_t i = 0; i < opt.lookups; ++i) {
-    runtime.lookup(keys[i % opt.keys], opt.target);
-  }
-
-  const metrics::ShardLookupCounters totals = runtime.lookup_totals();
-  trial.add("svc/keys", static_cast<double>(runtime.num_keys()));
-  trial.add("svc/storage", static_cast<double>(runtime.total_storage()));
+  const metrics::ShardLookupCounters tally = run_lookups(exec, keys, opt);
+  trial.add("svc/keys", static_cast<double>(exec.num_keys()));
+  trial.add("svc/storage", static_cast<double>(exec.total_storage()));
   trial.add("svc/lookup_cost",
             opt.lookups > 0
-                ? static_cast<double>(totals.servers_contacted) /
+                ? static_cast<double>(tally.servers_contacted) /
                       static_cast<double>(opt.lookups)
                 : 0.0);
   trial.add("svc/failure_rate",
             opt.lookups > 0
-                ? 1.0 - static_cast<double>(totals.satisfied) /
+                ? 1.0 - static_cast<double>(tally.satisfied) /
                             static_cast<double>(opt.lookups)
                 : 0.0);
-  const net::TransportStats transport = runtime.total_transport();
+  const net::TransportStats transport = exec.total_transport();
   trial.add_transport("net/", transport);
 
   net::TransportStats per_key_sum;
-  for (const auto& key : keys) per_key_sum.merge(runtime.key_transport(key));
+  for (const auto& key : keys) per_key_sum.merge(exec.key_transport(key));
   trial.add("svc/transport_conserved",
             per_key_sum == transport ? 1.0 : 0.0);
+  // The repair attribution overlay obeys the same conservation law as any
+  // other channel (trivially, all-zero, until a repair process runs).
   trial.add("svc/repair_conserved",
-            runtime.total_repair_transport().conservation_holds() ? 1.0
-                                                                  : 0.0);
-  add_shard_panel(trial, runtime, transport);
+            repair_transport(exec).conservation_holds() ? 1.0 : 0.0);
   return trial;
 }
 
-/// Saturation mode (--offered-load > 0): replay a production-shaped
-/// workload open-loop through the SaturationEngine and record the overload
-/// panel. Pure function of (opt, seed), like the other runners.
 pls::workload::ProductionWorkloadConfig make_production_config(
     const Options& opt, std::uint64_t seed) {
   using namespace pls;
@@ -876,8 +863,19 @@ pls::workload::SaturationConfig make_saturation_config(const Options& opt) {
   return sc;
 }
 
-void add_saturation_panel(pls::metrics::TrialAccumulator& trial,
-                          const pls::workload::SaturationStats& stats) {
+/// Saturation mode (--offered-load > 0): replay a production-shaped
+/// workload open-loop through the SaturationEngine and record the overload
+/// panel. Pure function of (opt, seed), like the other runners.
+template <typename Executor>
+pls::metrics::TrialAccumulator run_saturation(const Options& opt,
+                                              std::uint64_t seed,
+                                              Executor& exec) {
+  using namespace pls;
+  metrics::TrialAccumulator trial;
+  const auto wl = workload::generate_production_workload(
+      make_production_config(opt, seed));
+  const workload::SaturationStats stats =
+      run_engine(exec, wl, make_saturation_config(opt));
   trial.add("sat/lookups", static_cast<double>(stats.lookups));
   trial.add("sat/executed", static_cast<double>(stats.executed));
   trial.add("sat/coalesced", static_cast<double>(stats.coalesced));
@@ -897,67 +895,7 @@ void add_saturation_panel(pls::metrics::TrialAccumulator& trial,
     trial.add("sat/latency_p99", stats.latency.percentile(99.0));
     trial.add("sat/latency_p999", stats.latency.percentile(99.9));
   }
-}
-
-pls::metrics::TrialAccumulator run_saturation_one(const Options& opt,
-                                                  std::uint64_t seed) {
-  using namespace pls;
-  metrics::TrialAccumulator trial;
-
-  const auto wl =
-      workload::generate_production_workload(make_production_config(opt, seed));
-  core::PartialLookupService service(make_service_config(opt, seed));
-  workload::SaturationEngine engine(service, wl,
-                                    make_saturation_config(opt));
-  const auto stats = engine.run();
-
-  add_saturation_panel(trial, stats);
-  trial.add_transport("net/", service.total_transport());
-  return trial;
-}
-
-/// Saturation mode across worker shards (--offered-load + --shards): the
-/// production workload is split by key-content routing
-/// (workload::split_production_workload), each shard replays its slice on
-/// its own thread through a shard-local SaturationEngine, and the
-/// per-shard stats fold back in shard order. S shards model S
-/// thread-per-core capacity slices, so queueing observables (latency,
-/// lateness) legitimately vary with S; the replay is still fully
-/// deterministic for a fixed (seed, S), and S = 1 is byte-identical to
-/// run_saturation_one (pinned by the tier-2 grid).
-pls::metrics::TrialAccumulator run_saturation_sharded(const Options& opt,
-                                                      std::uint64_t seed) {
-  using namespace pls;
-  metrics::TrialAccumulator trial;
-
-  const auto wl =
-      workload::generate_production_workload(make_production_config(opt, seed));
-  const auto split =
-      workload::split_production_workload(wl, opt.shard.shards);
-  const workload::SaturationConfig sc = make_saturation_config(opt);
-
-  sim::ShardedRuntimeConfig rcfg;
-  rcfg.shards = opt.shard.shards;
-  rcfg.service = make_service_config(opt, seed);
-  sim::ShardedRuntime runtime(rcfg);
-
-  std::vector<workload::SaturationStats> per_shard(runtime.shards());
-  // Each shard runs a whole engine over its slice, shard-locally; slots
-  // are distinct objects, so the writes do not race.
-  runtime.run_on_shards([&split, &sc, &per_shard](
-                            std::size_t s,
-                            core::PartialLookupService& service) {
-    workload::SaturationEngine engine(service, split.shards[s], sc);
-    per_shard[s] = engine.run();
-  });
-  runtime.drain();
-
-  const workload::SaturationStats stats =
-      workload::fold_saturation_stats(per_shard, split);
-  add_saturation_panel(trial, stats);
-  const net::TransportStats transport = runtime.total_transport();
-  trial.add_transport("net/", transport);
-  add_shard_panel(trial, runtime, transport);
+  trial.add_transport("net/", exec.total_transport());
   return trial;
 }
 
@@ -1200,15 +1138,11 @@ int main(int argc, char** argv) {
   const sim::TrialRunner runner(sim::TrialRunnerConfig{.jobs = opt.jobs});
   const auto acc = metrics::run_trials(
       runner, opt.trials, opt.seed, [&](std::size_t, std::uint64_t seed) {
-        if (saturation) {
-          return opt.shard.shards_set ? run_saturation_sharded(opt, seed)
-                                      : run_saturation_one(opt, seed);
-        }
-        if (opt.keys > 0) {
-          return opt.shard.shards_set ? run_service_sharded(opt, seed)
-                                      : run_service_one(opt, seed);
-        }
-        return run_one(opt, seed);
+        if (opt.keys == 0) return run_one(opt, seed);
+        return on_executor(opt, seed, [&](auto& exec) {
+          return saturation ? run_saturation(opt, seed, exec)
+                            : run_service(opt, exec);
+        });
       });
 
   if (opt.trials > 1) {
