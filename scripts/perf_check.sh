@@ -45,6 +45,9 @@
 # Environment:
 #   PLS_PERF_TOLERANCE   relative tolerance for counter drift (default 0.10)
 #
+# BENCH_repair_churn.json is compared exactly, not within the tolerance:
+# bench_repair_churn's seeded durability series must match it byte for byte.
+#
 # Also runs a fast determinism smoke: bench_fig4 at --trials 4 must produce
 # byte-identical JSON for different --jobs values, and three seeded benches
 # must hash to the sha256 BENCH_trial_runner.json pins: fig4 at --trials 32,
@@ -191,8 +194,10 @@ EOF_GATE
 echo "=== perf_check: durability under permanent-loss churn ==="
 # bench_repair_churn hard-gates the headline claim (at the largest MTTF,
 # repair holds mean losses near zero while no-repair bleeds >= half the
-# reference set) and exits non-zero on violation; the durability series is
-# additionally diffed against the checked-in baseline below.
+# reference set) and exits non-zero on violation. Its output is seeded and
+# independent of --jobs, so the durability series must equal the
+# checked-in baseline byte for byte (compared below): it runs the repair
+# pass of five families, spare-copy draws included.
 churn_candidate="${build_dir}/BENCH_repair_churn.json"
 "${build_dir}/bench/bench_repair_churn" --json-out "${churn_candidate}" \
   > /dev/null
@@ -257,7 +262,13 @@ else
   diff_counters "${baseline}" "${candidate}"
   diff_counters "${wire_baseline}" "${wire_candidate}"
   diff_counters "${scale_baseline}" "${scale_candidate}"
-  diff_counters "${churn_baseline}" "${churn_candidate}"
+  if ! cmp -s "${churn_baseline}" "${churn_candidate}"; then
+    echo "perf_check: bench_repair_churn JSON differs from ${churn_baseline}"
+    diff "${churn_baseline}" "${churn_candidate}" | head -20 || true
+    echo "If intentional, refresh with: scripts/perf_check.sh --update"
+    exit 1
+  fi
+  echo "perf_check: repair-churn series byte-identical to ${churn_baseline}"
   diff_counters "${saturation_baseline}" "${saturation_candidate}"
 fi
 

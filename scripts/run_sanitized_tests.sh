@@ -29,7 +29,8 @@
 # corpus (random frames, exhaustive truncations, byte flips, splices,
 # pure garbage) make ASan/UBSan prove the decoder touches no byte outside
 # a corrupt frame, the tier-2 test_snapshot_fuzz loads every single-byte
-# flip of the golden snapshot under a per-load time limit, and an
+# flip of the golden snapshot and of a Hash-y/MultiProbe snapshot under a
+# per-load time limit, and an
 # end-to-end plsim snapshot/restore scenario below exercises save/load
 # under the sanitizers.
 #

@@ -30,8 +30,4 @@ ServerId HashFamily::operator()(std::size_t i, Entry v) const noexcept {
                                static_cast<std::uint64_t>(num_servers_));
 }
 
-void HashFamily::targets(Entry v, std::size_t copies, TargetList& out) const {
-  for (std::size_t i = 0; i < copies; ++i) out.insert((*this)(i, v));
-}
-
 }  // namespace pls

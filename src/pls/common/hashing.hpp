@@ -121,11 +121,6 @@ class HashFamily {
   /// Server chosen by function `i` for entry `v`.
   ServerId operator()(std::size_t i, Entry v) const noexcept;
 
-  /// The *distinct* servers assigned to `v` by the first `copies`
-  /// functions, in function order: where Hash-y stores v, collisions
-  /// between functions deduplicated (§3.5). Appends into `out`.
-  void targets(Entry v, std::size_t copies, TargetList& out) const;
-
  private:
   std::size_t num_servers_;
   std::vector<std::uint64_t> seeds_;

@@ -39,11 +39,7 @@ void FixedStrategy::build() {
   PLS_CHECK_MSG(config().param >= 1, "Fixed-x needs x >= 1");
   PLS_CHECK_MSG(config().storage_budget == 0,
                 "Fixed-x takes its budget through x, not storage_budget");
-  Rng master(config().seed);
-  for (std::size_t i = 0; i < num_servers(); ++i) {
-    register_tenant<FixedServer>(static_cast<ServerId>(i),
-                                 master.fork(0x1000 + i), config().param);
-  }
+  install_tenants();
 }
 
 LookupResult FixedStrategy::partial_lookup(std::size_t t) {

@@ -33,11 +33,7 @@ FullReplicationStrategy::FullReplicationStrategy(StrategyConfig config,
 void FullReplicationStrategy::build() {
   PLS_CHECK_MSG(config().storage_budget == 0,
                 "Full Replication has no storage-budget mode");
-  Rng master(config().seed);
-  for (std::size_t i = 0; i < num_servers(); ++i) {
-    register_tenant<FullReplicationServer>(static_cast<ServerId>(i),
-                                           master.fork(0x1000 + i));
-  }
+  install_tenants();
 }
 
 LookupResult FullReplicationStrategy::partial_lookup(std::size_t t) {

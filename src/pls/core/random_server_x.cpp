@@ -99,13 +99,7 @@ void RandomServerStrategy::build() {
   PLS_CHECK_MSG(config().param >= 1, "RandomServer-x needs x >= 1");
   PLS_CHECK_MSG(config().storage_budget == 0,
                 "RandomServer-x takes its budget through x");
-  Rng master(config().seed);
-  for (std::size_t i = 0; i < num_servers(); ++i) {
-    register_tenant<RandomServerServer>(static_cast<ServerId>(i),
-                                        master.fork(0x1000 + i),
-                                        config().param,
-                                        config().rs_active_replacement);
-  }
+  install_tenants();
 }
 
 LookupResult RandomServerStrategy::partial_lookup(std::size_t t) {
@@ -130,21 +124,11 @@ void RandomServerStrategy::rebalance(const net::MembershipChange& change) {
   // happens after the listeners ran). Rescue every entry it holds the
   // last copy of onto a surviving member; everything a survivor still
   // samples needs no migration.
-  const net::FailureState& fs = network().failures();
   net::ClusterView view = cluster_view();
-  std::vector<ServerId> candidates;
   for (Entry v : server_state(change.host).store().entries()) {
     if (copies_of(v) != 1) continue;
-    candidates.clear();
-    for (std::size_t rank = 0; rank < fs.member_count(); ++rank) {
-      const ServerId s = fs.member_at(rank);
-      if (fs.is_up(s) && !server_state(s).store().contains(v)) {
-        candidates.push_back(s);
-      }
-    }
-    if (candidates.empty()) continue;
-    view.client_send(candidates[repair_rng().uniform(candidates.size())],
-                     net::StoreEntry{v});
+    const ServerId spare = random_spare(v);
+    if (spare != kInvalidServer) view.client_send(spare, net::StoreEntry{v});
   }
 }
 
@@ -169,32 +153,9 @@ net::RepairOutcome RandomServerStrategy::repair_once() {
     view.client_send(s, net::StoreBatch{shared});
     out.replicas_created += want;
   }
-  // Pass 2 — redundancy floor: every entry gets at least two copies (one,
-  // if the cluster has a single member) so it survives the next wipe until
-  // the following scan. Extra copies land on repair-chosen spares.
-  const std::size_t floor_copies =
-      std::min<std::size_t>(2, fs.member_count());
-  std::vector<ServerId> candidates;
-  for (Entry v : u) {
-    std::size_t copies = copies_of(v);
-    while (copies < floor_copies) {
-      candidates.clear();
-      for (std::size_t rank = 0; rank < fs.member_count(); ++rank) {
-        const ServerId s = fs.member_at(rank);
-        if (fs.is_up(s) && !server_state(s).store().contains(v)) {
-          candidates.push_back(s);
-        }
-      }
-      if (candidates.empty()) {
-        out.deficit_after += floor_copies - copies;
-        break;
-      }
-      const ServerId pick = candidates[repair_rng().uniform(candidates.size())];
-      view.client_send(pick, net::StoreEntry{v});
-      ++out.replicas_created;
-      ++copies;
-    }
-  }
+  // Pass 2 — redundancy floor: every entry gets at least two copies so it
+  // survives the next wipe until the following scan.
+  for (Entry v : u) restore_floor(v, view, out);
   return out;
 }
 

@@ -271,12 +271,7 @@ void RoundRobinStrategy::build() {
   PLS_CHECK_MSG(config().param >= 1, "Round-Robin-y needs y >= 1");
   PLS_CHECK_MSG(config().param <= num_servers(),
                 "Round-Robin-y needs y <= n (distinct copy holders)");
-  Rng master(config().seed);
-  for (std::size_t i = 0; i < num_servers(); ++i) {
-    register_tenant<RoundRobinServer>(static_cast<ServerId>(i),
-                                      master.fork(0x1000 + i), config().param,
-                                      config().storage_budget);
-  }
+  install_tenants();
 }
 
 LookupResult RoundRobinStrategy::partial_lookup(std::size_t t) {

@@ -175,12 +175,20 @@ void Strategy::wipe_server(ServerId s) {
   servers_[s]->wipe();
 }
 
+void Strategy::install_tenants() {
+  Rng master(config_.seed);
+  for (std::size_t i = 0; i < num_servers(); ++i) {
+    const auto host = static_cast<ServerId>(i);
+    attach_host(host, master.fork(0x1000 + host));
+  }
+}
+
 void Strategy::on_membership_change(const net::MembershipChange& change) {
   if (change.kind == net::MembershipChange::Kind::kJoin) {
-    // Replay the construction-time tenant derivation: an (n+1)-server
-    // build() hands host i the stream master.fork(0x1000 + i) of a fresh
-    // master, in order. Re-running the fork chain up to the new host gives
-    // the newcomer exactly the stream it would have been born with.
+    // Replay install_tenants' fork chain: an (n+1)-server construction
+    // hands host i the stream master.fork(0x1000 + i) of a fresh master,
+    // in order. Re-running the chain up to the new host gives the newcomer
+    // exactly the stream it would have been born with.
     Rng master(config_.seed);
     for (ServerId i = 0; i < change.host; ++i) {
       (void)master.fork(0x1000 + i);
@@ -239,6 +247,38 @@ net::RepairOutcome Strategy::repair_mirrored() {
     out.replicas_created += missing;
   }
   return out;
+}
+
+ServerId Strategy::random_spare(Entry v) {
+  const net::FailureState& fs = network().failures();
+  const auto spare = [&](ServerId s) {
+    return fs.is_up(s) && !server_state(s).store().contains(v);
+  };
+  std::size_t count = 0;
+  for (std::size_t rank = 0; rank < fs.member_count(); ++rank) {
+    if (spare(fs.member_at(rank))) ++count;
+  }
+  if (count == 0) return kInvalidServer;
+  std::size_t pick = repair_rng_.uniform(count);
+  for (std::size_t rank = 0;; ++rank) {
+    const ServerId s = fs.member_at(rank);
+    if (spare(s) && pick-- == 0) return s;
+  }
+}
+
+void Strategy::restore_floor(Entry v, net::ClusterView& view,
+                             net::RepairOutcome& out) {
+  const std::size_t floor_copies =
+      std::min<std::size_t>(2, network().failures().member_count());
+  for (std::size_t copies = copies_of(v); copies < floor_copies; ++copies) {
+    const ServerId spare = random_spare(v);
+    if (spare == kInvalidServer) {
+      out.deficit_after += floor_copies - copies;
+      return;
+    }
+    view.client_send(spare, net::StoreEntry{v});
+    ++out.replicas_created;
+  }
 }
 
 void Strategy::send_union_to(ServerId host) {

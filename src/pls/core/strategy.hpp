@@ -1,6 +1,6 @@
 // The strategy framework: the partial-lookup interface of §2, the five
-// concrete schemes of §3/§5 behind it, and the Placement snapshot the
-// metrics module analyses.
+// concrete schemes of §3/§5 (plus the MultiProbe extension) behind it, and
+// the Placement snapshot the metrics module analyses.
 //
 // A Strategy manages ONE key, exactly as the paper does ("we focus here on
 // strategies that manage only one key", §2); pls::core::PartialLookupService
@@ -48,12 +48,13 @@ std::string_view to_string(StrategyKind kind) noexcept;
 /// Per-key strategy configuration.
 struct StrategyConfig {
   StrategyKind kind = StrategyKind::kFullReplication;
-  /// x for Fixed/RandomServer, y for Round-Robin/Hash; ignored by Full
-  /// Replication. Must be >= 1 where it applies.
+  /// x for Fixed/RandomServer, y for Round-Robin/Hash/MultiProbe; ignored
+  /// by Full Replication. Must be >= 1 where it applies.
   std::size_t param = 1;
-  /// Optional total-storage budget applied at place() time by Round-Robin
-  /// and Hash (0 = unlimited). Used by the §4.3 coverage experiment where
-  /// budgets below h force partial placement. Static placement only.
+  /// Optional total-storage budget applied at place() time by Round-Robin,
+  /// Hash and MultiProbe (0 = unlimited). Used by the §4.3 coverage
+  /// experiment where budgets below h force partial placement. Static
+  /// placement only.
   std::size_t storage_budget = 0;
   /// RandomServer-x only: §5.3's "active replacement" alternative for
   /// deletes — a server that loses an entry immediately fetches a
@@ -264,10 +265,14 @@ class Strategy : public net::MembershipListener, public net::Repairable {
 
   Rng& client_rng() noexcept { return client_rng_; }
 
-  /// Installs this strategy's tenant type on a newly joined host. `rng` is
-  /// the stream the tenant would have received had the host been present
-  /// at construction (the build() fork chain, replayed).
+  /// Installs this strategy's tenant type on one host, with that host's
+  /// tenant stream (see install_tenants; a join replays the same chain).
   virtual void attach_host(ServerId host, Rng rng) = 0;
+
+  /// Attaches a tenant to every host, in host order: host i gets the i-th
+  /// fork of a fresh Rng(seed), fork(0x1000 + i). Each family's
+  /// constructor calls it once, after checking its config.
+  void install_tenants();
 
   /// Strategy-specific data movement after a membership change (called
   /// after attach_host on joins). Default: move nothing.
@@ -302,6 +307,16 @@ class Strategy : public net::MembershipListener, public net::Repairable {
   /// receives an extra copy). A private stream: repair never perturbs
   /// client or tenant randomness, so runs without repair are untouched.
   Rng& repair_rng() noexcept { return repair_rng_; }
+
+  /// A uniformly random up member that does not store `v`: one
+  /// repair_rng() draw over those members in rank order. kInvalidServer,
+  /// with no draw, when there is none.
+  ServerId random_spare(Entry v);
+
+  /// The two-copy floor (one copy on a single-member cluster): while `v`
+  /// has fewer copies, stores it on a random spare through `view`. Counts
+  /// each copy sent, and what no spare can take as deficit, in `out`.
+  void restore_floor(Entry v, net::ClusterView& view, net::RepairOutcome& out);
 
   /// Strategy-level (not per-tenant) snapshot state. Default: nothing.
   /// Hash-y persists its rekeyed hash family here; MultiProbe verifies its

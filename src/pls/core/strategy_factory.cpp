@@ -6,9 +6,8 @@
 
 #include "pls/core/fixed_x.hpp"
 #include "pls/core/full_replication.hpp"
-#include "pls/core/hash_y.hpp"
-#include "pls/core/multi_probe.hpp"
 #include "pls/core/random_server_x.hpp"
+#include "pls/core/replica_groups.hpp"
 #include "pls/core/round_robin_y.hpp"
 
 namespace pls::core {

@@ -21,9 +21,11 @@ std::unique_ptr<Strategy> make_strategy(
 std::unique_ptr<Strategy> make_strategy(StrategyConfig config,
                                         net::Cluster& cluster);
 
-/// Parses the names used throughout the paper and this repo's CLIs:
-/// "full", "fixed", "randomserver", "roundrobin"/"round", "hash"
-/// (case-insensitive). Returns nullopt for unknown names.
+/// Parses the names used throughout the paper and this repo's CLIs,
+/// case-insensitively: "full"/"fullreplication"/"replication",
+/// "fixed"/"fixed-x", "randomserver"/"randomserver-x"/"random",
+/// "roundrobin"/"round"/"round-robin"/"roundrobin-y", "hash"/"hash-y" and
+/// "multiprobe"/"multi-probe"/"mp". Returns nullopt for unknown names.
 std::optional<StrategyKind> parse_strategy_kind(std::string_view name);
 
 }  // namespace pls::core

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "pls/core/hash_y.hpp"
+#include "pls/core/replica_groups.hpp"
 #include "pls/metrics/coverage.hpp"
 #include "pls/metrics/storage.hpp"
 
@@ -26,11 +26,10 @@ HashStrategy make(std::size_t n, std::size_t y, std::uint64_t seed = 1,
                       n, net::make_failure_state(n));
 }
 
-/// The distinct servers Hash-y stores `v` on (ids equal ranks here: no
-/// server has left).
+/// The distinct servers Hash-y stores `v` on.
 TargetList targets_of(const HashStrategy& s, Entry v) {
   TargetList out;
-  s.family().targets(v, s.y(), out);
+  s.rule().targets(v, s.y(), s.network().failures(), out);
   return out;
 }
 

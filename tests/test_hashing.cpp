@@ -63,9 +63,11 @@ TEST(HashFamily, MemberFunctionsDiffer) {
   EXPECT_GT(differences, 150);  // ~90% expected for independent functions
 }
 
+/// The distinct servers the functions assign to `v`, in function order:
+/// where Hash-y stores v, collisions deduplicated (§3.5).
 TargetList all_targets(const HashFamily& f, Entry v) {
   TargetList out;
-  f.targets(v, f.size(), out);
+  for (std::size_t i = 0; i < f.size(); ++i) out.insert(f(i, v));
   return out;
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "pls/core/service.hpp"
@@ -12,6 +13,7 @@
 #include "pls/metrics/availability.hpp"
 #include "pls/metrics/durability.hpp"
 #include "pls/net/repair.hpp"
+#include "pls/runtime/sharded_runtime.hpp"
 
 namespace pls::core {
 namespace {
@@ -265,6 +267,72 @@ TEST(Membership, ServiceWideJoinAndLeaveReachEveryKey) {
     EXPECT_EQ(strategy.server_state(0).store().size(), 0u) << key;
     const auto report = metrics::measure_durability(strategy, entries);
     EXPECT_EQ(report.lost_entries, 0u) << key;
+  }
+}
+
+TEST(Membership, AKeyFirstTouchedAfterAPermanentLeaveIsServedByEveryFamily) {
+  // Host 4 of 5 leaves for good before key "b" exists: its strategy is
+  // built over a member list whose ids no longer equal its ranks. On the
+  // service and on a 2-shard runtime, every family must place, update,
+  // serve and repair the new key without touching the departed host; the
+  // families that take a storage budget must also re-place a budgeted key
+  // that was placed before the leave.
+  for (const Scheme& scheme : kSchemes) {
+    SCOPED_TRACE(std::string(to_string(scheme.kind)));
+    ServiceConfig config;
+    config.num_servers = 5;
+    config.default_strategy =
+        StrategyConfig{.kind = scheme.kind, .param = scheme.param};
+    config.seed = 11;
+    const bool budgets = scheme.kind == StrategyKind::kRoundRobin ||
+                         scheme.kind == StrategyKind::kHash ||
+                         scheme.kind == StrategyKind::kMultiProbe;
+    ServiceConfig budgeted = config;
+    budgeted.default_strategy.storage_budget = 30;
+
+    PartialLookupService service(config);
+    service.place("a", iota_entries(20));
+    service.remove_server(4, net::Loss::kPermanent);
+    service.place("b", iota_entries(20));
+    service.add("b", 100);
+    service.erase("b", 3);
+    EXPECT_TRUE(service.partial_lookup("b", 5).satisfied);
+    Strategy& b = service.strategy("b");
+    EXPECT_EQ(b.server_state(4).store().size(), 0u);
+    const net::RepairOutcome repaired = b.repair_once();
+    EXPECT_EQ(repaired.deficit_after, 0u);
+    EXPECT_EQ(repaired.unrecoverable, 0u);
+    if (budgets) {
+      PartialLookupService static_service(budgeted);
+      static_service.place("c", iota_entries(20));
+      static_service.remove_server(4, net::Loss::kPermanent);
+      static_service.place("c", iota_entries(20));
+      const Strategy& c = static_service.strategy("c");
+      EXPECT_EQ(c.server_state(4).store().size(), 0u);
+      EXPECT_GT(c.storage_cost(), 0u);
+      EXPECT_LE(c.storage_cost(), 30u);
+    }
+
+    sim::ShardedRuntime runtime(
+        sim::ShardedRuntimeConfig{.shards = 2, .service = config});
+    runtime.place("a", iota_entries(20));
+    runtime.remove_server(4, net::Loss::kPermanent);
+    runtime.place("b", iota_entries(20));
+    runtime.add("b", 100);
+    runtime.erase("b", 3);
+    runtime.lookup("b", 5);
+    runtime.repair_scan(1.0);
+    EXPECT_EQ(runtime.key_lookup_totals("b").satisfied, 1u);
+    EXPECT_TRUE(runtime.shards_consistent());
+    if (budgets) {
+      sim::ShardedRuntime static_runtime(
+          sim::ShardedRuntimeConfig{.shards = 2, .service = budgeted});
+      static_runtime.place("c", iota_entries(20));
+      static_runtime.remove_server(4, net::Loss::kPermanent);
+      static_runtime.place("c", iota_entries(20));
+      static_runtime.lookup("c", 5);
+      EXPECT_EQ(static_runtime.key_lookup_totals("c").satisfied, 1u);
+    }
   }
 }
 

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "pls/core/multi_probe.hpp"
+#include "pls/core/replica_groups.hpp"
 #include "pls/metrics/coverage.hpp"
 
 namespace pls::core {
@@ -70,7 +70,7 @@ TEST(MultiProbe, EntriesLandExactlyOnTheirProbeTargets) {
   TargetList targets;
   for (Entry v = 1; v <= 50; ++v) {
     targets.clear();
-    s.probe_placement().targets(v, s.y(), fs, targets);
+    s.rule().targets(v, s.y(), fs, targets);
     std::set<ServerId> expected(targets.begin(), targets.end());
     std::set<ServerId> actual;
     for (ServerId id = 0; id < 10; ++id) {
@@ -97,7 +97,7 @@ TEST(MultiProbe, AddAndDeleteHitTheSameTargets) {
   s.add(fresh);
   const auto& fs = s.network().failures();
   TargetList targets;
-  s.probe_placement().targets(fresh, s.y(), fs, targets);
+  s.rule().targets(fresh, s.y(), fs, targets);
   for (ServerId t : targets) {
     EXPECT_TRUE(s.server_state(t).store().contains(fresh));
   }
@@ -192,7 +192,7 @@ TEST(MultiProbe, RepairRestoresWipedCopiesAndEnforcesTheTwoCopyFloor) {
   TargetList targets;
   for (Entry v : safe) {
     targets.clear();
-    s.probe_placement().targets(v, s.y(), fs, targets);
+    s.rule().targets(v, s.y(), fs, targets);
     for (ServerId t : targets) {
       EXPECT_TRUE(s.server_state(t).store().contains(v)) << "entry " << v;
     }
@@ -235,7 +235,7 @@ TEST(MultiProbe, OwnersMatchThePinnedDigest) {
           const auto& fs = s.network().failures();
           for (Entry v = 1; v <= 3000; ++v) {
             targets.clear();
-            s.probe_placement().targets(v, y, fs, targets);
+            s.rule().targets(v, y, fs, targets);
             fold(targets.size());
             for (const ServerId id : targets) fold(id);
           }
@@ -256,10 +256,10 @@ TEST(MultiProbe, OwnerIsTheFirstTargetAndAgreesPastTheInlineBuffer) {
     TargetList targets;
     for (Entry v = 1; v <= 200; ++v) {
       targets.clear();
-      s.probe_placement().targets(v, 3, fs, targets);
+      s.rule().targets(v, 3, fs, targets);
       ASSERT_GE(targets.size(), 1u);
-      EXPECT_EQ(*targets.begin(), s.probe_placement().owner(v, 0, fs));
-      EXPECT_TRUE(targets.contains(s.probe_placement().owner(v, 2, fs)));
+      EXPECT_EQ(*targets.begin(), s.rule().owner(v, 0, fs));
+      EXPECT_TRUE(targets.contains(s.rule().owner(v, 2, fs)));
     }
   }
 }

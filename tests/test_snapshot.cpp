@@ -10,6 +10,7 @@
 //   PLS_UPDATE_GOLDEN=1 ./build/tests/test_snapshot   # refresh the golden
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "pls/net/repair.hpp"
 #include "pls/runtime/sharded_runtime.hpp"
 #include "pls/wire/snapshot.hpp"
+#include "pls/wire/wire.hpp"
 
 namespace pls::wire {
 namespace {
@@ -361,6 +363,109 @@ TEST(SnapshotFormat, RejectsTrailingGarbage) {
   core::PartialLookupService svc(golden_config());
   const auto err = load_service(svc, snap);
   ASSERT_TRUE(err.has_value());
+}
+
+// --- Hash-y family extras ------------------------------------------------
+
+core::ServiceConfig hash_config() {
+  core::ServiceConfig cfg;
+  cfg.num_servers = 6;
+  cfg.default_strategy.kind = core::StrategyKind::kHash;
+  cfg.default_strategy.param = 2;
+  cfg.seed = 606;
+  return cfg;
+}
+
+/// A saved 6-host Hash-y service with one key, and the offset of that
+/// key's family extras: the family's server count, its seed count, then
+/// the seeds.
+struct HashSnapshot {
+  std::vector<std::uint8_t> bytes;
+  std::size_t extras = 0;
+};
+
+HashSnapshot hash_snapshot() {
+  core::PartialLookupService svc(hash_config());
+  std::vector<Entry> entries(12);
+  for (std::size_t i = 0; i < entries.size(); ++i) entries[i] = i + 1;
+  svc.place("key", entries);
+  HashSnapshot snap{save_service(svc), 0};
+  // The key's strategy block appears verbatim in the service snapshot; its
+  // extras follow the client and repair rng states (4 words each).
+  Writer block;
+  svc.strategy("key").save_state(block);
+  const std::vector<std::uint8_t> state = block.take();
+  const auto at = std::search(snap.bytes.begin(), snap.bytes.end(),
+                              state.begin(), state.end());
+  EXPECT_NE(at, snap.bytes.end());
+  snap.extras = static_cast<std::size_t>(at - snap.bytes.begin()) + 64;
+  return snap;
+}
+
+std::size_t varint_length(const std::vector<std::uint8_t>& bytes,
+                          std::size_t at) {
+  Reader r(std::span<const std::uint8_t>(bytes).subspan(at));
+  (void)r.varint();
+  return bytes.size() - at - r.remaining();
+}
+
+/// `bytes` with the varint at `at` re-encoded as `value`.
+std::vector<std::uint8_t> with_varint(const std::vector<std::uint8_t>& bytes,
+                                      std::size_t at, std::uint64_t value) {
+  Writer w;
+  w.varint(value);
+  const std::vector<std::uint8_t> encoded = w.take();
+  const auto begin = bytes.begin();
+  std::vector<std::uint8_t> out(begin, begin + static_cast<std::ptrdiff_t>(at));
+  out.insert(out.end(), encoded.begin(), encoded.end());
+  const std::size_t rest = at + varint_length(bytes, at);
+  out.insert(out.end(), begin + static_cast<std::ptrdiff_t>(rest), bytes.end());
+  return out;
+}
+
+std::optional<std::string> load_hash_service(
+    const std::vector<std::uint8_t>& bytes) {
+  core::PartialLookupService svc(hash_config());
+  return load_service(svc, bytes);
+}
+
+TEST(SnapshotFormat, HashFamilyExtrasRoundTrip) {
+  const HashSnapshot snap = hash_snapshot();
+  Reader r(std::span<const std::uint8_t>(snap.bytes).subspan(snap.extras));
+  EXPECT_EQ(r.varint(), 6u);  // the family's server count
+  EXPECT_EQ(r.varint(), 2u);  // y seeds
+  EXPECT_EQ(load_hash_service(snap.bytes), std::nullopt);
+  // Re-encoding a field unchanged must still load: the edits below change
+  // only the value.
+  EXPECT_EQ(load_hash_service(with_varint(snap.bytes, snap.extras, 6)),
+            std::nullopt);
+}
+
+TEST(SnapshotFormat, RejectsAHashSeedCountTheBytesCannotHold) {
+  // A seed count is untrusted: 2^34 seeds would ask for 128 GiB and 2^26
+  // for 512 MiB. Each must be refused from the bytes left, before anything
+  // is allocated from it.
+  const HashSnapshot snap = hash_snapshot();
+  const std::size_t count_at =
+      snap.extras + varint_length(snap.bytes, snap.extras);
+  for (const std::uint64_t count : {std::uint64_t{1} << 34,
+                                    std::uint64_t{1} << 26}) {
+    const auto err =
+        load_hash_service(with_varint(snap.bytes, count_at, count));
+    ASSERT_TRUE(err.has_value()) << "seed count " << count << " loaded";
+    EXPECT_NE(err->find("Hash family"), std::string::npos) << *err;
+    EXPECT_NE(err->find("seed count"), std::string::npos) << *err;
+  }
+}
+
+TEST(SnapshotFormat, RejectsAHashFamilySizedForAnotherMemberCount) {
+  // The family maps entries onto member ranks, so its server count must
+  // equal the restored member count; a family over 60 servers on a 6-host
+  // cluster would name ranks that do not exist.
+  const HashSnapshot snap = hash_snapshot();
+  const auto err = load_hash_service(with_varint(snap.bytes, snap.extras, 60));
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("Hash family"), std::string::npos) << *err;
 }
 
 // --- the checked-in golden snapshot --------------------------------------
