@@ -303,19 +303,23 @@ MigrationPoint run_migration(core::StrategyKind kind, std::uint64_t seed) {
 constexpr std::size_t kShardKeys = 2048;
 constexpr std::size_t kShardLookups = 50'000;
 constexpr std::size_t kShardTarget = 2;
+/// Timed passes per shard count: one 50k-lookup pass is a few tens of
+/// milliseconds, short enough for scheduler noise to swing it by 2x, so
+/// the series reports the median pass.
+constexpr std::size_t kShardPasses = 5;
 
 struct ShardedPoint {
   std::size_t shards = 0;
   double lookups_per_sec = 0;  // wall clock; printed, never gated
   metrics::ShardLookupCounters totals;
-  /// Per-shard submission-time occupancy high-water (timing-dependent:
-  /// printed for the oversubscription analysis, never in the JSON).
+  /// Per-shard sampled occupancy high-water (timing-dependent: printed for
+  /// the oversubscription analysis, never in the JSON).
   std::vector<std::uint64_t> queue_peaks;
 };
 
 /// Dispatches the canonical lookup mix (round-robin over kShardKeys keys)
-/// through a ShardedRuntime with S worker shards and returns throughput
-/// plus the folded lookup counters.
+/// through a fresh ShardedRuntime with S worker shards and returns one
+/// pass's throughput plus the folded lookup counters.
 ShardedPoint run_sharded(std::size_t shards, std::uint64_t seed) {
   sim::ShardedRuntimeConfig rcfg;
   rcfg.shards = shards;
@@ -407,25 +411,37 @@ int main(int argc, char** argv) {
   bool sharded_gate_failed = false;
   for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                              std::size_t{8}}) {
-    sharded_points.push_back(run_sharded(shards, args.seed));
-    const auto& p = sharded_points.back();
+    std::vector<double> rates;
+    for (std::size_t pass = 0; pass < kShardPasses; ++pass) {
+      ShardedPoint p = run_sharded(shards, args.seed);
+      if (!(p.totals == oracle_totals)) {
+        std::cerr << "FAIL: sharded lookup counters at S=" << p.shards
+                  << " (pass " << pass << ") diverge from the sequential "
+                  << "oracle - the shard-count determinism contract is "
+                  << "broken\n";
+        sharded_gate_failed = true;
+      }
+      rates.push_back(p.lookups_per_sec);
+      if (pass + 1 == kShardPasses) sharded_points.push_back(std::move(p));
+    }
+    std::sort(rates.begin(), rates.end());
+    auto& p = sharded_points.back();
+    p.lookups_per_sec = rates[kShardPasses / 2];
     pls::bench::print_cell(p.shards);
     pls::bench::print_cell(p.lookups_per_sec, 16, 0);
     pls::bench::print_cell(p.totals.servers_contacted, 16);
     pls::bench::print_cell(p.totals.entries_returned, 16);
     pls::bench::print_cell(p.totals.satisfied, 16);
     pls::bench::end_row();
-    if (!(p.totals == oracle_totals)) {
-      std::cerr << "FAIL: sharded lookup counters at S=" << p.shards
-                << " diverge from the sequential oracle - the shard-count "
-                << "determinism contract is broken\n";
-      sharded_gate_failed = true;
-    }
   }
   if (sharded_gate_failed) return 1;
   pls::bench::print_note(
+      "lookups/sec is the median of " + std::to_string(kShardPasses) +
+      " passes, each on a fresh runtime; the queue high-water below is the "
+      "last pass's");
+  pls::bench::print_note(
       "gate passed: folded lookup counters bit-identical across S = "
-      "{1, 2, 4, 8} and equal to the sequential oracle");
+      "{1, 2, 4, 8} on every pass and equal to the sequential oracle");
   for (const auto& p : sharded_points) {
     std::string peaks;
     for (std::uint64_t q : p.queue_peaks) {
@@ -439,7 +455,7 @@ int main(int argc, char** argv) {
   pls::bench::print_note(
       "expected shape: with S <= cores, throughput grows with S; with "
       "S > cores the broadcastless lookup mix still splits across rings "
-      "while idle workers sleep-back-off instead of yield-thrashing, so "
+      "while idle workers park on a futex instead of yield-thrashing, so "
       "throughput flattens rather than dipping");
 
   // Design comparison under the lossy-churn deployment (see header).

@@ -1,7 +1,5 @@
 #include "pls/core/fixed_x.hpp"
 
-#include "pls/common/check.hpp"
-
 namespace pls::core {
 
 void FixedServer::on_message(const net::Message& m, net::ClusterView& net) {
@@ -27,18 +25,11 @@ void FixedServer::on_message(const net::Message& m, net::ClusterView& net) {
 FixedStrategy::FixedStrategy(StrategyConfig config, std::size_t num_servers,
                              std::shared_ptr<net::FailureState> failures)
     : Strategy(config, num_servers, std::move(failures)) {
-  build();
+  install_tenants();
 }
 
 FixedStrategy::FixedStrategy(StrategyConfig config, net::Cluster& cluster)
     : Strategy(config, cluster) {
-  build();
-}
-
-void FixedStrategy::build() {
-  PLS_CHECK_MSG(config().param >= 1, "Fixed-x needs x >= 1");
-  PLS_CHECK_MSG(config().storage_budget == 0,
-                "Fixed-x takes its budget through x, not storage_budget");
   install_tenants();
 }
 

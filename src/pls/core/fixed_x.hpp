@@ -42,9 +42,6 @@ class FixedStrategy final : public Strategy {
  protected:
   void attach_host(ServerId host, Rng rng) override;
   void rebalance(const net::MembershipChange& change) override;
-
- private:
-  void build();
 };
 
 }  // namespace pls::core

@@ -1,7 +1,5 @@
 #include "pls/core/full_replication.hpp"
 
-#include "pls/common/check.hpp"
-
 namespace pls::core {
 
 void FullReplicationServer::on_message(const net::Message& m,
@@ -21,18 +19,12 @@ FullReplicationStrategy::FullReplicationStrategy(
     StrategyConfig config, std::size_t num_servers,
     std::shared_ptr<net::FailureState> failures)
     : Strategy(config, num_servers, std::move(failures)) {
-  build();
+  install_tenants();
 }
 
 FullReplicationStrategy::FullReplicationStrategy(StrategyConfig config,
                                                  net::Cluster& cluster)
     : Strategy(config, cluster) {
-  build();
-}
-
-void FullReplicationStrategy::build() {
-  PLS_CHECK_MSG(config().storage_budget == 0,
-                "Full Replication has no storage-budget mode");
   install_tenants();
 }
 

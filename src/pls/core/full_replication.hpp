@@ -30,9 +30,6 @@ class FullReplicationStrategy final : public Strategy {
  protected:
   void attach_host(ServerId host, Rng rng) override;
   void rebalance(const net::MembershipChange& change) override;
-
- private:
-  void build();
 };
 
 }  // namespace pls::core

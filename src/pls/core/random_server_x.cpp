@@ -86,19 +86,12 @@ RandomServerStrategy::RandomServerStrategy(
     StrategyConfig config, std::size_t num_servers,
     std::shared_ptr<net::FailureState> failures)
     : Strategy(config, num_servers, std::move(failures)) {
-  build();
+  install_tenants();
 }
 
 RandomServerStrategy::RandomServerStrategy(StrategyConfig config,
                                            net::Cluster& cluster)
     : Strategy(config, cluster) {
-  build();
-}
-
-void RandomServerStrategy::build() {
-  PLS_CHECK_MSG(config().param >= 1, "RandomServer-x needs x >= 1");
-  PLS_CHECK_MSG(config().storage_budget == 0,
-                "RandomServer-x takes its budget through x");
   install_tenants();
 }
 

@@ -68,9 +68,6 @@ class RandomServerStrategy final : public Strategy {
  protected:
   void attach_host(ServerId host, Rng rng) override;
   void rebalance(const net::MembershipChange& change) override;
-
- private:
-  void build();
 };
 
 }  // namespace pls::core

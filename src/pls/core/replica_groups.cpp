@@ -61,10 +61,7 @@ MultiProbeRule::MultiProbeRule(const StrategyConfig& config,
     : point_seed(Rng(config.seed).fork(0x2300)()),
       probe_seed(Rng(config.seed).fork(0x2400)()),
       probes(static_cast<std::uint32_t>(config.probes)),
-      groups(static_cast<std::uint32_t>(config.param)) {
-  PLS_CHECK_MSG(config.param >= 1, "MultiProbe needs y >= 1");
-  PLS_CHECK_MSG(config.probes >= 1, "MultiProbe needs r >= 1 probes");
-}
+      groups(static_cast<std::uint32_t>(config.param)) {}
 
 void MultiProbeRule::save(wire::Writer& w) const {
   w.u64le(point_seed);

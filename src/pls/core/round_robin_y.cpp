@@ -258,19 +258,12 @@ RoundRobinStrategy::RoundRobinStrategy(
     StrategyConfig config, std::size_t num_servers,
     std::shared_ptr<net::FailureState> failures)
     : Strategy(config, num_servers, std::move(failures)) {
-  build();
+  install_tenants();
 }
 
 RoundRobinStrategy::RoundRobinStrategy(StrategyConfig config,
                                        net::Cluster& cluster)
     : Strategy(config, cluster) {
-  build();
-}
-
-void RoundRobinStrategy::build() {
-  PLS_CHECK_MSG(config().param >= 1, "Round-Robin-y needs y >= 1");
-  PLS_CHECK_MSG(config().param <= num_servers(),
-                "Round-Robin-y needs y <= n (distinct copy holders)");
   install_tenants();
 }
 

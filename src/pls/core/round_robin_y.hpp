@@ -136,8 +136,6 @@ class RoundRobinStrategy final : public Strategy {
   void rebalance(const net::MembershipChange& change) override;
 
  private:
-  void build();
-
   /// Majority reconstruction of the logical slot map from the servers'
   /// replicated (entry, slot) records: per-slot majority vote (smaller
   /// entry breaks ties), then per-entry dedup preferring the larger slot

@@ -41,6 +41,31 @@ std::string_view to_string(StrategyKind kind) noexcept {
   return "?";
 }
 
+std::optional<std::string> check_strategy_config(const StrategyConfig& config,
+                                                 std::size_t num_servers) {
+  const std::string family(to_string(config.kind));
+  const bool full = config.kind == StrategyKind::kFullReplication;
+  // Fixed-x and RandomServer-x count entries per server; the others count
+  // copies per entry.
+  const bool per_server = config.kind == StrategyKind::kFixed ||
+                          config.kind == StrategyKind::kRandomServer;
+  if (num_servers == 0) return "need at least one server";
+  if (!full && config.param < 1) {
+    return family + (per_server ? " needs x >= 1" : " needs y >= 1");
+  }
+  if (config.kind == StrategyKind::kRoundRobin && config.param > num_servers) {
+    return family + " needs y <= n (distinct copy holders)";
+  }
+  if (config.kind == StrategyKind::kMultiProbe && config.probes < 1) {
+    return family + " needs r >= 1 probes";
+  }
+  if ((full || per_server) && config.storage_budget != 0) {
+    return family + " has no storage-budget mode" +
+           (per_server ? " (x is its budget)" : "");
+  }
+  return std::nullopt;
+}
+
 std::size_t Placement::total_entries() const noexcept {
   std::size_t total = 0;
   for (const auto& s : servers) total += s.size();
@@ -139,7 +164,8 @@ Strategy::Strategy(StrategyConfig config, std::size_t num_servers,
       cluster_(owned_cluster_.get()),
       client_rng_(Rng(config.seed).fork(0x11)),
       repair_rng_(Rng(config.seed).fork(0x5e9a)) {
-  PLS_CHECK_MSG(num_servers > 0, "need at least one server");
+  const auto invalid = check_strategy_config(config, num_servers);
+  PLS_CHECK_MSG(!invalid, *invalid);
   net::LinkModel link = config.link;
   link.seed = link_stream_seed(config);
   net::Network& net = cluster_->network();
@@ -158,6 +184,8 @@ Strategy::Strategy(StrategyConfig config, net::Cluster& cluster)
       repair_rng_(Rng(config.seed).fork(0x5e9a)) {
   // Shared mode: the cluster's (service-wide) link model and retry policy
   // apply; this key only brings its own link-randomness stream.
+  const auto invalid = check_strategy_config(config, cluster.size());
+  PLS_CHECK_MSG(!invalid, *invalid);
   key_ = cluster_->add_key(link_stream_seed(config));
   cluster_->add_membership_listener(this);
 }

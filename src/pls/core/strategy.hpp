@@ -15,6 +15,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -80,6 +81,16 @@ struct StrategyConfig {
   std::size_t probes = 16;
   std::uint64_t seed = 1;
 };
+
+/// The config rules of every family built over `num_servers` hosts: at
+/// least one server; x or y >= 1 for every family but Full Replication,
+/// which ignores it; y <= n for Round-Robin, whose y copy holders are
+/// distinct servers; r >= 1 probes for MultiProbe; and a storage budget
+/// only for Round-Robin, Hash and MultiProbe. Returns the first rule
+/// `config` breaks, or nullopt. Strategy's constructors enforce it before
+/// the key touches its cluster, so a rejected key leaves no trace there.
+std::optional<std::string> check_strategy_config(const StrategyConfig& config,
+                                                 std::size_t num_servers);
 
 /// Immutable snapshot of which server stores which entries. The §4 metrics
 /// (storage, coverage, fault tolerance) are functions of this alone.

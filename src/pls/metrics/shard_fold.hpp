@@ -8,7 +8,7 @@
 // order is fixed — so the folded totals are bit-identical to the
 // sequential oracle's, for any shard count. Nothing here is locked or
 // atomic; folds only run after a barrier has made the shard data quiescent
-// and visible (the runtime's completed-counter acquire/release handshake).
+// and visible (the runtime's drain barrier on its rings' consumer cursors).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "pls/runtime/sharded_runtime.hpp"
 
-#include <chrono>
+#include <algorithm>
+#include <exception>
 #include <limits>
 #include <utility>
 
@@ -11,11 +12,12 @@
 
 namespace pls::sim {
 
-// One queued operation. Plain aggregate: copyable (broadcasts replicate
-// one proto per shard) and cheap to move. A steady-state lookup op moves
-// an empty entries vector and an empty task — zero heap traffic through
-// the queue (gated under PLS_COUNT_ALLOCS).
-struct ShardedRuntime::ShardOp {
+// One queued operation: one cache line, the ring slot its worker runs it
+// in. The scalar arguments of every kind sit inline; the two rare payloads
+// (a place's entries, a task's closure) sit behind one pointer. A lookup,
+// add or erase therefore moves a few words through the ring and allocates
+// nothing (gated under PLS_COUNT_ALLOCS).
+struct alignas(detail::kCacheLine) ShardedRuntime::ShardOp {
   enum class Kind : std::uint8_t {
     kPlace,
     kAdd,
@@ -29,21 +31,25 @@ struct ShardedRuntime::ShardOp {
     kRepairScan,
     kTask,
   };
+  struct Payload {
+    std::vector<Entry> entries;  ///< kPlace
+    Task task;                   ///< kTask
+  };
 
   Kind kind = Kind::kLookup;
+  net::Loss loss = net::Loss::kGraceful;
+  ServerId server = kInvalidServer;
+  /// The key's dense route index on the owning shard.
+  std::uint32_t route = 0;
   /// Points into the control plane's route table (stable until
   /// load_snapshot clears it, which drains first); null for key-less
   /// control ops. Read by the worker only to resolve a route on first touch.
   const Key* key = nullptr;
-  /// The key's dense route index on the owning shard.
-  std::uint32_t route = 0;
   Entry value = 0;
   std::size_t t = 0;
-  ServerId server = kInvalidServer;
-  net::Loss loss = net::Loss::kGraceful;
   double now = 0.0;
-  std::vector<Entry> entries;  ///< kPlace payload
-  std::function<void(std::size_t, core::PartialLookupService&)> task;
+  /// Null except for kPlace and kTask.
+  std::unique_ptr<Payload> payload;
 };
 
 struct ShardedRuntime::Shard {
@@ -59,6 +65,9 @@ struct ShardedRuntime::Shard {
             net::RepairProcess::Config{1.0})) {}
 
   const std::size_t index;
+  /// Releasing a slot only after its op ran is what makes post-barrier
+  /// reads of all the (unsynchronised) shard state below race-free: see
+  /// drain().
   SpscQueue<ShardOp> queue;
   std::unique_ptr<core::PartialLookupService> service;
   std::unique_ptr<net::RepairProcess> repair;
@@ -72,16 +81,20 @@ struct ShardedRuntime::Shard {
   /// Route index -> shard-local KeyId, kUnresolved until the key first
   /// exists here (worker-thread state; see resolve()).
   std::vector<KeyId> key_ids;
-  /// Route indices handed out for this shard (control-thread state).
-  std::uint32_t routes = 0;
+  /// The first exception an op threw here since the last drain (written by
+  /// the worker, rethrown and cleared by drain() on the control thread).
+  std::exception_ptr error;
+  /// Route indices handed out for this shard (control-thread state, on its
+  /// own line so that the producer's per-push writes do not evict the
+  /// worker's fields above).
+  alignas(detail::kCacheLine) std::uint32_t routes = 0;
   /// Control-thread submission count; never touched by the worker.
   std::uint64_t submitted = 0;
-  /// Highest queue occupancy seen at submission (control-thread state).
+  /// Occupancy high-water (control-thread state; see shard_queue_peak).
   std::uint64_t queue_peak = 0;
-  /// Worker-published completion count. The release increment here paired
-  /// with drain()'s acquire load is what makes post-barrier reads of all
-  /// the (unsynchronised) shard state above race-free.
-  alignas(64) std::atomic<std::uint64_t> completed{0};
+  /// 1 while the worker is parked or about to park (see worker_loop). The
+  /// producer reads it on every push; the worker writes it only to park.
+  alignas(detail::kCacheLine) std::atomic<std::uint32_t> parked{0};
   std::thread thread;
 };
 
@@ -111,8 +124,13 @@ ShardedRuntime::ShardedRuntime(ShardedRuntimeConfig config)
 }
 
 ShardedRuntime::~ShardedRuntime() {
-  drain();
-  stop_.store(true, std::memory_order_release);
+  // An error no drain() collected dies with the runtime.
+  wait_for_workers();
+  stop_.store(true, std::memory_order_seq_cst);
+  for (auto& shard : shards_) {
+    shard->parked.store(0, std::memory_order_seq_cst);
+    shard->parked.notify_one();
+  }
   for (auto& shard : shards_) {
     if (shard->thread.joinable()) shard->thread.join();
   }
@@ -134,22 +152,35 @@ std::size_t ShardedRuntime::route(const Key& key, ShardOp& op) {
 }
 
 void ShardedRuntime::push(std::size_t shard, ShardOp&& op) {
+  static_assert(sizeof(ShardOp) == detail::kCacheLine,
+                "a queued op fills exactly one ring slot line");
   Shard& sh = *shards_[shard];
   // Bounded-queue backpressure: a full ring means the shard is behind;
   // yield until a slot frees (try_push does not consume `op` on failure).
   while (!sh.queue.try_push(std::move(op))) std::this_thread::yield();
-  ++sh.submitted;
-  // Occupancy high-water, sampled at submission: submitted is
-  // control-thread-private and completed is an acquire load, so the
-  // difference is a valid (momentary) queue depth. The bench reports it
-  // per shard to show where the backlog sits as S grows.
-  const std::uint64_t depth =
-      sh.submitted - sh.completed.load(std::memory_order_acquire);
-  if (depth > sh.queue_peak) sh.queue_peak = depth;
+  // The producer half of the park handshake (worker_loop): the op is
+  // published by a seq_cst store, so either the worker's re-check finds it
+  // or this load finds the worker parked. The clear is seq_cst too, so
+  // that notify_one sees a waiter that is about to sleep.
+  if (sh.parked.load(std::memory_order_seq_cst) != 0) {
+    sh.parked.store(0, std::memory_order_seq_cst);
+    sh.parked.notify_one();
+  }
+  // Occupancy high-water, sampled once per 64 pushes: reading the worker's
+  // cursor on every push would pull its cache line over per op. The bench
+  // reports it per shard to show where the backlog sits as S grows.
+  if (++sh.submitted % 64 == 0) {
+    sh.queue_peak = std::max<std::uint64_t>(sh.queue_peak, sh.queue.size());
+  }
 }
 
-void ShardedRuntime::broadcast(const ShardOp& proto) {
-  for (std::size_t s = 0; s < shards_.size(); ++s) push(s, ShardOp(proto));
+template <typename Fill>
+void ShardedRuntime::broadcast(Fill fill) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    ShardOp op;
+    fill(op);
+    push(s, std::move(op));
+  }
 }
 
 // --- data plane -----------------------------------------------------------
@@ -157,7 +188,8 @@ void ShardedRuntime::broadcast(const ShardOp& proto) {
 void ShardedRuntime::place(const Key& key, std::span<const Entry> entries) {
   ShardOp op;
   op.kind = ShardOp::Kind::kPlace;
-  op.entries.assign(entries.begin(), entries.end());
+  op.payload = std::make_unique<ShardOp::Payload>();
+  op.payload->entries.assign(entries.begin(), entries.end());
   push(route(key, op), std::move(op));
 }
 
@@ -185,29 +217,25 @@ void ShardedRuntime::lookup(const Key& key, std::size_t t) {
 // --- control plane --------------------------------------------------------
 
 void ShardedRuntime::fail_server(ServerId s) {
-  ShardOp op;
-  op.kind = ShardOp::Kind::kFail;
-  op.server = s;
-  broadcast(op);
+  broadcast([s](ShardOp& op) {
+    op.kind = ShardOp::Kind::kFail;
+    op.server = s;
+  });
 }
 
 void ShardedRuntime::recover_server(ServerId s) {
-  ShardOp op;
-  op.kind = ShardOp::Kind::kRecover;
-  op.server = s;
-  broadcast(op);
+  broadcast([s](ShardOp& op) {
+    op.kind = ShardOp::Kind::kRecover;
+    op.server = s;
+  });
 }
 
 void ShardedRuntime::recover_all() {
-  ShardOp op;
-  op.kind = ShardOp::Kind::kRecoverAll;
-  broadcast(op);
+  broadcast([](ShardOp& op) { op.kind = ShardOp::Kind::kRecoverAll; });
 }
 
 ServerId ShardedRuntime::add_server() {
-  ShardOp op;
-  op.kind = ShardOp::Kind::kAddHost;
-  broadcast(op);
+  broadcast([](ShardOp& op) { op.kind = ShardOp::Kind::kAddHost; });
   // Host ids are monotonic (tombstoned hosts keep their slot), and every
   // shard replays the same membership history, so the control-side mirror
   // knows the id every shard will assign without a barrier.
@@ -215,36 +243,31 @@ ServerId ShardedRuntime::add_server() {
 }
 
 void ShardedRuntime::remove_server(ServerId s, net::Loss loss) {
-  ShardOp op;
-  op.kind = ShardOp::Kind::kRemoveHost;
-  op.server = s;
-  op.loss = loss;
-  broadcast(op);
+  broadcast([s, loss](ShardOp& op) {
+    op.kind = ShardOp::Kind::kRemoveHost;
+    op.server = s;
+    op.loss = loss;
+  });
 }
 
 void ShardedRuntime::repair_scan(double now) {
-  ShardOp op;
-  op.kind = ShardOp::Kind::kRepairScan;
-  op.now = now;
-  broadcast(op);
+  broadcast([now](ShardOp& op) {
+    op.kind = ShardOp::Kind::kRepairScan;
+    op.now = now;
+  });
 }
 
-void ShardedRuntime::run_on_shard(
-    std::size_t shard,
-    std::function<void(std::size_t, core::PartialLookupService&)> fn) {
+void ShardedRuntime::run_on_shard(std::size_t shard, Task fn) {
   PLS_CHECK_MSG(shard < shards_.size(), "shard index out of range");
   ShardOp op;
   op.kind = ShardOp::Kind::kTask;
-  op.task = std::move(fn);
+  op.payload = std::make_unique<ShardOp::Payload>();
+  op.payload->task = std::move(fn);
   push(shard, std::move(op));
 }
 
-void ShardedRuntime::run_on_shards(
-    std::function<void(std::size_t, core::PartialLookupService&)> fn) {
-  ShardOp op;
-  op.kind = ShardOp::Kind::kTask;
-  op.task = std::move(fn);
-  broadcast(op);
+void ShardedRuntime::run_on_shards(const Task& fn) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) run_on_shard(s, fn);
 }
 
 // --- worker ---------------------------------------------------------------
@@ -287,29 +310,49 @@ std::optional<KeyId> ShardedRuntime::resolve(Shard& shard, const ShardOp& op,
 }
 
 void ShardedRuntime::worker_loop(Shard& shard) {
-  // Empty polls a worker tolerates before trading the yield loop for a
-  // real sleep. Yielding is cheap when a core is free, but with shards >=
-  // cores every idle worker's yield steals a timeslice from the one
-  // thread that has work: the S=8 throughput dip on a 1-core box is
-  // exactly that thrash. Past the threshold an idle worker sleeps in
-  // 50us naps — waking costs one scheduler wakeup, while staying in the
-  // run queue costs the busy thread its quantum over and over.
+  // Empty polls a worker yields through before it parks. A short spin
+  // catches the next op of a busy stream without a syscall; past it, an
+  // idle worker blocks on its `parked` word (a futex) until the next push
+  // wakes it. A parked worker costs no core, so with shards >= cores it
+  // steals no timeslice from the one thread that has work, and it wakes
+  // when its op arrives rather than at the end of a timed nap.
   constexpr std::uint32_t kIdleYieldPolls = 64;
-  ShardOp op;
   std::uint32_t idle_polls = 0;
   for (;;) {
-    if (shard.queue.try_pop(op)) {
+    if (ShardOp* op = shard.queue.front()) {
       idle_polls = 0;
-      execute(shard, op);
-      shard.completed.fetch_add(1, std::memory_order_release);
+      try {
+        execute(shard, *op);
+      } catch (...) {
+        // An op the service rejects must not take the process down: keep
+        // the shard's first error for the control thread (drain()). It may
+        // have thrown after interning its key (a storage-budget key's first
+        // add), so register the new tenants as a clean return would have.
+        if (!shard.error) shard.error = std::current_exception();
+        sync_tenants_impl(*shard.service, shard.repair, shard.known_keys,
+                          shard.per_key);
+      }
+      // Release the slot only now: the drain barrier waits on it.
+      shard.queue.pop_front();
       continue;
     }
-    if (stop_.load(std::memory_order_acquire) && shard.queue.empty()) return;
+    // The destructor drains before it stops, so an empty ring is final.
+    if (stop_.load(std::memory_order_seq_cst)) return;
     if (++idle_polls < kIdleYieldPolls) {
       std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      continue;
     }
+    idle_polls = 0;
+    // The worker half of the park handshake (push()): announce, then
+    // re-check the ring and the stop flag with seq_cst loads, so either
+    // the re-check sees the new op (or stop) or its producer sees the
+    // announcement and wakes this worker.
+    shard.parked.store(1, std::memory_order_seq_cst);
+    if (shard.queue.front() == nullptr &&
+        !stop_.load(std::memory_order_seq_cst)) {
+      shard.parked.wait(1, std::memory_order_seq_cst);
+    }
+    shard.parked.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -319,7 +362,7 @@ void ShardedRuntime::execute(Shard& shard, ShardOp& op) {
     // The data-plane ops run by KeyId, exactly as the service's string API
     // would after its own name lookup.
     case ShardOp::Kind::kPlace:
-      svc.strategy_at(*resolve(shard, op, true)).place(op.entries);
+      svc.strategy_at(*resolve(shard, op, true)).place(op.payload->entries);
       sync_tenants_impl(svc, shard.repair, shard.known_keys, shard.per_key);
       break;
     case ShardOp::Kind::kAdd:
@@ -365,7 +408,7 @@ void ShardedRuntime::execute(Shard& shard, ShardOp& op) {
       (void)shard.repair->scan_once(op.now);
       break;
     case ShardOp::Kind::kTask:
-      op.task(shard.index, svc);
+      op.payload->task(shard.index, svc);
       sync_tenants_impl(svc, shard.repair, shard.known_keys, shard.per_key);
       break;
   }
@@ -374,11 +417,18 @@ void ShardedRuntime::execute(Shard& shard, ShardOp& op) {
 // --- barriers and aggregates ----------------------------------------------
 
 void ShardedRuntime::drain() {
+  wait_for_workers();
   for (auto& shard : shards_) {
-    while (shard->completed.load(std::memory_order_acquire) <
-           shard->submitted) {
-      std::this_thread::yield();
-    }
+    if (shard->error) std::rethrow_exception(std::exchange(shard->error, {}));
+  }
+}
+
+void ShardedRuntime::wait_for_workers() {
+  // A worker releases an op's slot only after running it, so an empty ring
+  // (an acquire load of its consumer cursor) means every op submitted to
+  // the shard has run, and its effects are visible here.
+  for (auto& shard : shards_) {
+    while (!shard->queue.empty()) std::this_thread::yield();
   }
 }
 
@@ -418,8 +468,7 @@ std::vector<std::uint8_t> ShardedRuntime::save_snapshot() {
     extras.varint(shard->per_key.size());
     for (const auto& c : shard->per_key) save_lookup_counters(extras, c);
     // The control-plane op counter: restored so a resumed run reports the
-    // same shard_ops() an uninterrupted one would (drained, so submitted
-    // == completed here).
+    // same shard_ops() an uninterrupted one would.
     extras.varint(shard->submitted);
     w.varint(extras.size());
     w.bytes(extras.buffer());
@@ -429,6 +478,9 @@ std::vector<std::uint8_t> ShardedRuntime::save_snapshot() {
 
 std::optional<std::string> ShardedRuntime::load_snapshot(
     std::span<const std::uint8_t> data) {
+  // An error an earlier op left for the next drain surfaces here, before
+  // any state changes, rather than from the drain behind the load tasks.
+  drain();
   wire::Reader r(data);
   const std::uint64_t shard_count = r.varint();
   if (!r.ok() || shard_count != shards_.size()) {
@@ -507,13 +559,10 @@ std::optional<std::string> ShardedRuntime::load_snapshot(
     if (blob->error.has_value()) return blob->error;
   }
   num_servers_ = static_cast<std::size_t>(hosts);
-  // Post-drain the workers are idle, so rewinding the op counters to the
-  // saved values (covering the load task itself) is race-free; submitted
-  // == completed keeps the drain invariant.
+  // Rewind the op counters to the saved values, covering the load task
+  // itself (the drain barrier waits on the rings, not on this count).
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->submitted = blobs[s]->submitted;
-    shards_[s]->completed.store(blobs[s]->submitted,
-                                std::memory_order_release);
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];

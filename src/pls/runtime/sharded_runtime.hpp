@@ -7,9 +7,9 @@
 // streams, link model and TransportStats ledgers, plus its own
 // RepairProcess — and executes every operation for its keys on its own
 // thread. The lookup hot path therefore takes **no locks and shares no
-// mutable cache lines across shards**: the only cross-thread structure an
-// op touches is its shard's SpscQueue slot, and all state an op reads or
-// writes is shard-private.
+// mutable cache lines across shards**: the only cross-thread structures an
+// op touches are its shard's SpscQueue slot and the worker's park word,
+// and all state an op reads or writes is shard-private.
 //
 // Control plane vs data plane. Client ops (place/add/erase/lookup) are
 // *routed* to the owning shard's queue. The coordinator resolves a key
@@ -34,11 +34,19 @@
 // bit-identical to the sequential run for any --shards. The tier-2
 // differential grid and scripts/perf_check.sh pin this.
 //
-// Barriers. The control thread counts ops submitted per shard; each
-// worker publishes completions with a release increment, and drain()
-// spins (acquire) until every shard's completed count catches up. All
-// aggregate accessors drain first, so post-barrier reads of shard state
-// from the control thread are race-free by the acquire/release pairing.
+// Barriers. A worker runs each op in place in its ring slot and releases
+// the slot (a release store of the ring's consumer cursor) only after the
+// op has run, so drain() just waits (acquire) until every shard's ring is
+// empty. All aggregate accessors drain first, so post-barrier reads of
+// shard state from the control thread are race-free by that
+// acquire/release pairing. An op that throws does not stop its worker:
+// the shard keeps its first error and the next drain() rethrows it on the
+// control thread.
+//
+// Idle workers. A worker that finds its ring empty yields for a few polls
+// and then parks on a futex (std::atomic::wait) until the next push to its
+// ring wakes it, so an idle shard costs no core and wakes as soon as work
+// arrives.
 //
 // Layering note: this library (pls_runtime) sits *above* core — a shard
 // replica is a whole PartialLookupService — but the class lives in
@@ -82,6 +90,9 @@ struct ShardedRuntimeConfig {
 
 class ShardedRuntime {
  public:
+  /// Work run on a shard's worker thread: (shard index, shard service).
+  using Task = std::function<void(std::size_t, core::PartialLookupService&)>;
+
   explicit ShardedRuntime(ShardedRuntimeConfig config);
   ~ShardedRuntime();
 
@@ -114,15 +125,14 @@ class ShardedRuntime {
   /// Runs `fn(shard_index, shard_service)` on one shard's worker thread,
   /// in queue order with every other op. The escape hatch higher layers
   /// (the saturation driver) use to run whole engines shard-locally.
-  void run_on_shard(std::size_t shard,
-                    std::function<void(std::size_t,
-                                       core::PartialLookupService&)> fn);
-  /// Broadcasts `fn` to every shard.
-  void run_on_shards(std::function<void(std::size_t,
-                                        core::PartialLookupService&)> fn);
+  void run_on_shard(std::size_t shard, Task fn);
+  /// Runs a copy of `fn` on every shard.
+  void run_on_shards(const Task& fn);
 
   /// Barrier: blocks until every submitted op has executed. After it
   /// returns, shard state is quiescent and safe to read from this thread.
+  /// If an op threw on a worker since the last drain, rethrows the first
+  /// such error (lowest shard first) and forgets it; the ops after it ran.
   void drain();
 
   // --- snapshot/restore (docs/PROTOCOLS.md §"Wire format v1") -------------
@@ -133,7 +143,8 @@ class ShardedRuntime {
   /// Restores into a freshly built runtime (same config, no ops issued
   /// yet). Each shard loads its blob on its own worker thread, so
   /// restored state has the same thread affinity as live state. Returns
-  /// an error string on a mismatched or corrupt snapshot.
+  /// an error string on a mismatched or corrupt snapshot. Drains first, so
+  /// an error an earlier op left throws before anything is restored.
   std::optional<std::string> load_snapshot(std::span<const std::uint8_t> data);
 
   // --- post-barrier aggregates (each drains internally) ------------------
@@ -164,9 +175,11 @@ class ShardedRuntime {
   const net::TransportStats& shard_transport(std::size_t shard);
   /// Ops submitted to `shard` so far (control-thread counter).
   std::uint64_t shard_ops(std::size_t shard) const;
-  /// Highest queue occupancy `shard` reached, sampled at each submission
-  /// (control-thread counter; machine- and timing-dependent, so reported
-  /// but never gated).
+  /// Highest queue occupancy `shard` showed at every 64th submission to it
+  /// (ops pushed minus ops the worker has released, read once per 64 pushes
+  /// so that the producer does not read the worker's cursor line per op).
+  /// Control-thread counter; machine- and timing-dependent, so reported but
+  /// never gated, and 0 for a shard that received fewer than 64 ops.
   std::uint64_t shard_queue_peak(std::size_t shard) const;
 
  private:
@@ -188,8 +201,13 @@ class ShardedRuntime {
   /// up again on its next op.
   static std::optional<KeyId> resolve(Shard& shard, const ShardOp& op,
                                       bool create);
+  /// Queues `op` on `shard` and wakes the shard's worker if it is parked.
   void push(std::size_t shard, ShardOp&& op);
-  void broadcast(const ShardOp& proto);
+  /// Pushes one op to every shard, each built by `fill(op)`.
+  template <typename Fill>
+  void broadcast(Fill fill);
+  /// Blocks until every shard's ring is empty (drain() without the rethrow).
+  void wait_for_workers();
   void worker_loop(Shard& shard);
   void execute(Shard& shard, ShardOp& op);
 

@@ -16,12 +16,25 @@
 //  - Cursors are alignas(64) so producer and consumer state never share
 //    a cache line (no false sharing).
 //
-// Memory ordering: the producer publishes a slot with a release store of
-// tail_; the consumer observes it with an acquire load, and vice versa
-// for reclamation via head_. No fences, no CAS, no locks anywhere.
+// The consumer works on a value in place: front() returns the oldest
+// value still in its slot, and pop_front() destroys it and only then
+// releases the slot. So a value is never moved out, and from the
+// producer's side empty() means every pushed value has been consumed and
+// released — the runtime's drain barrier waits on exactly that.
+//
+// Memory ordering: the producer publishes a slot with a store of tail_
+// that the consumer observes with an acquire load, and the consumer
+// releases a slot with a release store of head_ that the producer (and
+// empty()) observes with an acquire load. No fences, no CAS, no locks.
+// The tail_ store and front()'s re-load of tail_ are seq_cst rather than
+// release/acquire: a consumer that announces it is about to sleep and
+// then re-checks the ring, against a producer that publishes and then
+// reads the announcement, needs StoreLoad order on both sides (the
+// runtime's park handshake). On x86 the seq_cst load costs nothing extra
+// and the store is one locked instruction.
 //
 // Slots are raw aligned storage: a value is constructed in place on a
-// successful push and destroyed on pop, so T needs only a move
+// successful push and destroyed by pop_front, so T needs only a move
 // constructor (move-only payloads are fine) and the queue itself does
 // zero heap allocation after construction — push/pop are gated at
 // exactly 0 allocs under PLS_COUNT_ALLOCS.
@@ -79,27 +92,34 @@ class SpscQueue {
       if (tail - cached_head_ == capacity_) return false;
     }
     ::new (static_cast<void*>(slot(tail))) T(std::move(value));
-    tail_.store(tail + 1, std::memory_order_release);
+    tail_.store(tail + 1, std::memory_order_seq_cst);
     return true;
   }
 
-  /// Consumer side. Returns false when the ring is empty.
-  bool try_pop(T& out) {
+  /// Consumer side: the oldest value, left in its slot, or nullptr when
+  /// the ring is empty. Stays valid until pop_front().
+  T* front() {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == cached_tail_) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head == cached_tail_) return false;
+      cached_tail_ = tail_.load(std::memory_order_seq_cst);
+      if (head == cached_tail_) return nullptr;
     }
-    T* v = slot(head);
-    out = std::move(*v);
-    v->~T();
-    head_.store(head + 1, std::memory_order_release);
-    return true;
+    return slot(head);
   }
 
-  /// Consumer-side view; exact when called from the consumer thread.
+  /// Consumer side: destroys the value front() returned and releases its
+  /// slot to the producer. Only valid after front() returned non-null.
+  void pop_front() {
+    const std::uint64_t head = head_.load(std::memory_order_relaxed);
+    slot(head)->~T();
+    head_.store(head + 1, std::memory_order_release);
+  }
+
+  /// Exact from either side. From the producer it means every value
+  /// pushed so far has been popped, and whatever the consumer did before
+  /// its last pop_front() happens-before this call returning true.
   bool empty() const noexcept {
-    return head_.load(std::memory_order_relaxed) ==
+    return head_.load(std::memory_order_acquire) ==
            tail_.load(std::memory_order_acquire);
   }
 

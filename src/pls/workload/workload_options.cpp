@@ -119,16 +119,25 @@ std::optional<std::string> validate_shard_options(
 
 std::optional<std::string> validate_strategy_options(
     const StrategyCliOptions& options) {
-  if (!options.probes_set) return std::nullopt;
-  if (!options.multiprobe) {
-    return "--probes only applies to --strategy multiprobe";
+  if (options.probes_set) {
+    if (options.kind != core::StrategyKind::kMultiProbe) {
+      return "--probes only applies to --strategy multiprobe";
+    }
+    if (options.probes < 1) {
+      return "--probes must be >= 1";
+    }
+    if (options.probes > 64) {
+      return "--probes must be <= 64 (each probe is an O(n) scan per "
+             "placement decision)";
+    }
   }
-  if (options.probes < 1) {
-    return "--probes must be >= 1";
-  }
-  if (options.probes > 64) {
-    return "--probes must be <= 64 (each probe is an O(n) scan per "
-           "placement decision)";
+  core::StrategyConfig config;
+  config.kind = options.kind;
+  config.param = options.param;
+  config.probes = options.probes;
+  if (const auto err = core::check_strategy_config(config, options.servers)) {
+    return "--param " + std::to_string(options.param) + " on --servers " +
+           std::to_string(options.servers) + ": " + *err;
   }
   return std::nullopt;
 }

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 
+#include "pls/core/strategy.hpp"
 #include "pls/net/link_model.hpp"
 #include "pls/net/retry_policy.hpp"
 
@@ -68,17 +69,23 @@ std::optional<std::string> validate_shard_options(
 
 /// plsim's placement-strategy slice of the command line.
 struct StrategyCliOptions {
-  /// --strategy resolved to the multi-probe family.
-  bool multiprobe = false;
+  /// --strategy.
+  core::StrategyKind kind = core::StrategyKind::kRoundRobin;
+  /// --param (x or y; Full Replication ignores it).
+  std::size_t param = 2;
+  /// --servers (n).
+  std::size_t servers = 10;
   /// --probes (r, the probes drawn per replica group).
   std::size_t probes = 16;
   bool probes_set = false;
 };
 
-/// Validation for `--probes`: only meaningful for --strategy multiprobe,
-/// and bounded to [1, 64] — each extra probe costs an O(n) scan per owner
-/// decision, and the balance gain flattens out around r = 21. Returns the
-/// error message, or nullopt.
+/// Validation for the strategy flags: the values the chosen family rejects
+/// (core::check_strategy_config over --servers hosts), and `--probes`,
+/// which is only meaningful for --strategy multiprobe and bounded to
+/// [1, 64] — each extra probe costs an O(n) scan per owner decision, and
+/// the balance gain flattens out around r = 21. Returns the error message,
+/// or nullopt.
 std::optional<std::string> validate_strategy_options(
     const StrategyCliOptions& options);
 

@@ -258,11 +258,14 @@ TEST(AllocRegression, SpscQueueSteadyStateIsAllocationFree) {
   // sharded runtime's lookup dispatch allocation-free.
   sim::SpscQueue<std::uint64_t> q(64);
   const AllocStats before = AllocStats::current();
-  std::uint64_t out = 0;
   std::size_t ok = 0;
   constexpr std::size_t kCycles = 100'000;
   for (std::uint64_t i = 0; i < kCycles; ++i) {
-    if (q.try_push(std::uint64_t(i)) && q.try_pop(out) && out == i) ++ok;
+    if (!q.try_push(std::uint64_t(i))) continue;
+    const std::uint64_t* out = q.front();
+    if (out == nullptr) continue;
+    if (*out == i) ++ok;
+    q.pop_front();
   }
   const AllocStats delta = AllocStats::current() - before;
   EXPECT_EQ(ok, kCycles);
@@ -312,6 +315,58 @@ TEST(AllocRegression, ShardedLookupDispatchAddsZeroAllocations) {
       << "sharded dispatch allocated " << rt_delta.allocations
       << " vs sequential " << seq_delta.allocations << " over " << kMeasured
       << " lookups";
+}
+
+TEST(AllocRegression, ShardedUpdateDispatchAddsZeroAllocations) {
+  // The same exact gate for adds and erases: their arguments sit inline in
+  // the one-line ShardOp, so the ring adds nothing to what the sequential
+  // service allocates for the identical updates.
+  core::ServiceConfig cfg;
+  cfg.num_servers = 8;
+  cfg.default_strategy =
+      StrategyConfig{.kind = StrategyKind::kRoundRobin, .param = 2, .seed = 0};
+  cfg.seed = 11;
+  const Key key = "alloc-key";
+  const auto batch = iota_entries(64);
+  constexpr Entry kFirst = 1'000;
+  constexpr Entry kWarm = 64;
+  constexpr Entry kMeasured = 500;
+
+  core::PartialLookupService sequential(cfg);
+  sequential.place(key, batch);
+  for (Entry v = kFirst; v < kFirst + kWarm; ++v) {
+    sequential.add(key, v);
+    sequential.erase(key, v);
+  }
+  const AllocStats seq_before = AllocStats::current();
+  for (Entry v = kFirst + kWarm; v < kFirst + kWarm + kMeasured; ++v) {
+    sequential.add(key, v);
+    sequential.erase(key, v);
+  }
+  const AllocStats seq_delta = AllocStats::current() - seq_before;
+
+  sim::ShardedRuntimeConfig rcfg;
+  rcfg.shards = 1;
+  rcfg.service = cfg;
+  sim::ShardedRuntime runtime(rcfg);
+  runtime.place(key, batch);
+  for (Entry v = kFirst; v < kFirst + kWarm; ++v) {
+    runtime.add(key, v);
+    runtime.erase(key, v);
+  }
+  runtime.drain();
+  const AllocStats rt_before = AllocStats::current();
+  for (Entry v = kFirst + kWarm; v < kFirst + kWarm + kMeasured; ++v) {
+    runtime.add(key, v);
+    runtime.erase(key, v);
+  }
+  runtime.drain();
+  const AllocStats rt_delta = AllocStats::current() - rt_before;
+
+  EXPECT_EQ(rt_delta.allocations, seq_delta.allocations)
+      << "sharded dispatch allocated " << rt_delta.allocations
+      << " vs sequential " << seq_delta.allocations << " over " << kMeasured
+      << " add/erase pairs";
 }
 
 TEST(AllocRegression, MigrationAndWipeReturnSpillCapacity) {

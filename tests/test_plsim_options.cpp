@@ -193,7 +193,7 @@ TEST(PlsimShardOptions, ShardingNeedsTheMultiKeyServiceMode) {
 TEST(PlsimOptions, ProbesDefaultsAreValid) {
   EXPECT_EQ(validate_strategy_options({}), std::nullopt);
   StrategyCliOptions o;
-  o.multiprobe = true;
+  o.kind = core::StrategyKind::kMultiProbe;
   EXPECT_EQ(validate_strategy_options(o), std::nullopt);
 }
 
@@ -204,13 +204,13 @@ TEST(PlsimOptions, ProbesRequiresMultiProbeStrategy) {
   const auto err = validate_strategy_options(o);
   ASSERT_TRUE(err);
   EXPECT_NE(err->find("--strategy multiprobe"), std::string::npos);
-  o.multiprobe = true;
+  o.kind = core::StrategyKind::kMultiProbe;
   EXPECT_EQ(validate_strategy_options(o), std::nullopt);
 }
 
 TEST(PlsimOptions, ProbesMustBeInRange) {
   StrategyCliOptions o;
-  o.multiprobe = true;
+  o.kind = core::StrategyKind::kMultiProbe;
   o.probes_set = true;
   o.probes = 0;
   EXPECT_TRUE(validate_strategy_options(o));
@@ -220,6 +220,57 @@ TEST(PlsimOptions, ProbesMustBeInRange) {
   EXPECT_EQ(validate_strategy_options(o), std::nullopt);
   o.probes = 65;
   EXPECT_TRUE(validate_strategy_options(o));
+}
+
+TEST(PlsimOptions, ParamZeroIsRejectedForEveryFamilyButFullReplication) {
+  for (const auto kind :
+       {core::StrategyKind::kFixed, core::StrategyKind::kRandomServer,
+        core::StrategyKind::kRoundRobin, core::StrategyKind::kHash,
+        core::StrategyKind::kMultiProbe}) {
+    StrategyCliOptions o;
+    o.kind = kind;
+    o.param = 0;
+    const auto err = validate_strategy_options(o);
+    ASSERT_TRUE(err) << core::to_string(kind);
+    EXPECT_NE(err->find("--param"), std::string::npos);
+    o.param = 1;
+    EXPECT_EQ(validate_strategy_options(o), std::nullopt)
+        << core::to_string(kind);
+  }
+  StrategyCliOptions full;
+  full.kind = core::StrategyKind::kFullReplication;
+  full.param = 0;
+  EXPECT_EQ(validate_strategy_options(full), std::nullopt);
+}
+
+TEST(PlsimOptions, RoundRobinYMustNotExceedTheServerCount) {
+  StrategyCliOptions o;
+  o.kind = core::StrategyKind::kRoundRobin;
+  o.servers = 8;
+  o.param = 8;
+  EXPECT_EQ(validate_strategy_options(o), std::nullopt);
+  o.param = 9;
+  const auto err = validate_strategy_options(o);
+  ASSERT_TRUE(err);
+  EXPECT_NE(err->find("--servers"), std::string::npos);
+  // The other families take any y >= 1: Hash-y and MultiProbe map several
+  // groups onto one server, Fixed-x and RandomServer-x count entries.
+  for (const auto kind :
+       {core::StrategyKind::kFixed, core::StrategyKind::kRandomServer,
+        core::StrategyKind::kHash, core::StrategyKind::kMultiProbe}) {
+    o.kind = kind;
+    EXPECT_EQ(validate_strategy_options(o), std::nullopt)
+        << core::to_string(kind);
+  }
+}
+
+TEST(PlsimOptions, ServersMustBePositive) {
+  StrategyCliOptions o;
+  o.servers = 0;
+  o.kind = core::StrategyKind::kFullReplication;
+  const auto err = validate_strategy_options(o);
+  ASSERT_TRUE(err);
+  EXPECT_NE(err->find("--servers"), std::string::npos);
 }
 
 TEST(PlsimTransportOptions, DefaultsAreValid) {

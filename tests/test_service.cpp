@@ -89,6 +89,27 @@ TEST(Service, PerKeyPolicyOverridesDefault) {
   EXPECT_EQ(svc.strategy("cold:song").kind(), StrategyKind::kRoundRobin);
 }
 
+TEST(Service, RejectedKeyConfigLeavesNoTrace) {
+  // Round-Robin y = 9 cannot be built on 8 servers. The rejection happens
+  // before the key touches the shared cluster, so the next key still gets
+  // KeyId 0 and the only link channel.
+  auto cfg = base_config();
+  cfg.num_servers = 8;
+  cfg.strategy_policy = [](const Key& key) -> std::optional<StrategyConfig> {
+    if (key != "bad") return std::nullopt;
+    return StrategyConfig{.kind = StrategyKind::kRoundRobin, .param = 9};
+  };
+  PartialLookupService svc(cfg);
+  EXPECT_THROW(svc.place("bad", iota_entries(10)), std::logic_error);
+  EXPECT_FALSE(svc.contains_key("bad"));
+  EXPECT_EQ(svc.cluster().num_keys(), 0u);
+  svc.place("good", iota_entries(10));
+  EXPECT_EQ(svc.key_id("good"), KeyId{0});
+  EXPECT_EQ(svc.cluster().num_keys(), 1u);
+  EXPECT_EQ(svc.cluster().network().num_channels(), 1u);
+  EXPECT_TRUE(svc.partial_lookup("good", 3).satisfied);
+}
+
 TEST(Service, FailuresCorrelateAcrossKeys) {
   PartialLookupService svc(base_config());
   svc.place("a", iota_entries(6));

@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pls/common/hashing.hpp"
+#include "pls/common/rng.hpp"
 #include "pls/core/service.hpp"
 #include "pls/net/transport_stats.hpp"
 #include "pls/runtime/sharded_runtime.hpp"
@@ -423,6 +428,17 @@ void expect_matches(sim::ShardedRuntime& runtime, SequentialTally& seq,
   EXPECT_EQ(runtime.num_keys(), seq.service.num_keys());
 }
 
+/// The message `fn` throws as a std::logic_error, or "" if it returns.
+template <typename Fn>
+std::string logic_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 sim::ShardedRuntimeConfig route_config() {
   sim::ShardedRuntimeConfig rcfg;
   rcfg.shards = 2;
@@ -544,6 +560,210 @@ TEST(ShardedRuntimeRoutes, RejectedRestoreLeavesRoutesConsistent) {
   ASSERT_NE(runtime.load_snapshot(snap), std::nullopt);
   place_and_look(4, keys.size());
   expect_matches(runtime, seq, keys);
+}
+
+TEST(ShardedRuntimeRoutes, APendingWorkerErrorThrowsBeforeARestoreBegins) {
+  // An op that failed on a worker leaves its error for the next drain. A
+  // restore must report it before it loads anything, so that the runtime
+  // is untouched and the same restore can simply be retried.
+  auto rcfg = route_config();
+  rcfg.service.strategy_policy =
+      [](const Key& key) -> std::optional<core::StrategyConfig> {
+    if (key != "bad") return std::nullopt;
+    core::StrategyConfig bad;
+    bad.kind = core::StrategyKind::kRoundRobin;
+    bad.param = 9;
+    return bad;
+  };
+  SequentialTally seq(rcfg.service);
+  const auto keys = make_keys(5);
+  const std::vector<Entry> batch{2, 4, 6, 8, 10};
+  std::vector<std::uint8_t> snap;
+  {
+    sim::ShardedRuntime original(rcfg);
+    for (const Key& key : keys) {
+      seq.service.place(key, batch);
+      original.place(key, batch);
+    }
+    // The snapshot's host count differs from the config's.
+    EXPECT_EQ(original.add_server(), seq.service.add_server());
+    for (std::size_t i = 0; i < 20; ++i) {
+      seq.lookup(keys[i % keys.size()], 3);
+      original.lookup(keys[i % keys.size()], 3);
+    }
+    snap = original.save_snapshot();
+  }
+
+  sim::ShardedRuntime restored(rcfg);
+  const std::string place_error =
+      logic_error_of([&] { seq.service.place("bad", batch); });
+  ASSERT_NE(place_error, "");
+  restored.place("bad", batch);
+  EXPECT_EQ(logic_error_of([&] { (void)restored.load_snapshot(snap); }),
+            place_error);
+  ASSERT_EQ(restored.load_snapshot(snap), std::nullopt);
+  EXPECT_TRUE(restored.shards_consistent());
+  EXPECT_EQ(restored.add_server(), seq.service.add_server());
+  for (std::size_t i = 0; i < 30; ++i) {
+    seq.lookup(keys[i % keys.size()], 3);
+    restored.lookup(keys[i % keys.size()], 3);
+  }
+  expect_matches(restored, seq, keys);
+}
+
+// --- worker errors and idle workers ---------------------------------------
+
+TEST(ShardedRuntime, WorkerErrorsReachTheCallerAtTheNextDrain) {
+  // A policy only key "bad" breaks: Round-Robin with y = 9 on 8 servers.
+  // The sequential service throws from place(); the runtime must hand the
+  // same error to the control thread at its next drain, exactly once, and
+  // keep serving every other key as the sequential service does.
+  sim::ShardedRuntimeConfig rcfg;
+  rcfg.shards = 2;
+  rcfg.service = base_config(core::StrategyKind::kRoundRobin, 2, 8, 13);
+  rcfg.service.strategy_policy =
+      [](const Key& key) -> std::optional<core::StrategyConfig> {
+    if (key != "bad") return std::nullopt;
+    core::StrategyConfig bad;
+    bad.kind = core::StrategyKind::kRoundRobin;
+    bad.param = 9;
+    return bad;
+  };
+  sim::ShardedRuntime runtime(rcfg);
+  SequentialTally seq(rcfg.service);
+  const std::vector<Entry> batch{1, 2, 3, 4, 5, 6, 7, 8};
+
+  const std::string place_error =
+      logic_error_of([&] { seq.service.place("bad", batch); });
+  ASSERT_NE(place_error, "");
+  runtime.place("bad", batch);
+  EXPECT_EQ(logic_error_of([&] { runtime.drain(); }), place_error);
+  EXPECT_EQ(logic_error_of([&] { runtime.drain(); }), "");
+
+  // An aggregate accessor drains, so it reports the error too. The ops
+  // queued behind the failing one still ran.
+  const std::string add_error =
+      logic_error_of([&] { seq.service.add("bad", 9); });
+  ASSERT_NE(add_error, "");
+  runtime.add("bad", 9);
+  seq.lookup("bad", 3);
+  runtime.lookup("bad", 3);
+  EXPECT_EQ(logic_error_of([&] { (void)runtime.num_keys(); }), add_error);
+  EXPECT_EQ(runtime.lookup_totals().lookups, 1u);
+
+  const auto keys = make_keys(6);
+  for (const Key& key : keys) {
+    seq.service.place(key, batch);
+    runtime.place(key, batch);
+  }
+  for (std::size_t i = 0; i < 60; ++i) {
+    seq.lookup(keys[i % keys.size()], 3);
+    runtime.lookup(keys[i % keys.size()], 3);
+  }
+  expect_matches(runtime, seq, keys);
+  EXPECT_FALSE(runtime.contains_key("bad"));
+}
+
+TEST(ShardedRuntime, AKeyAFailingOpInternedIsServedLikeTheSequentialService) {
+  // Key "budgeted" takes a storage-budget Round-Robin config. It builds,
+  // but it is static-only, so its first op, an add(), throws after the key
+  // was interned. The sequential service keeps the key; the runtime must
+  // keep it too, with its tally slot registered before any lookup.
+  sim::ShardedRuntimeConfig rcfg;
+  rcfg.shards = 2;
+  rcfg.service = base_config(core::StrategyKind::kRoundRobin, 2, 6, 17);
+  rcfg.service.strategy_policy =
+      [](const Key& key) -> std::optional<core::StrategyConfig> {
+    if (key != "budgeted") return std::nullopt;
+    core::StrategyConfig budgeted;
+    budgeted.kind = core::StrategyKind::kRoundRobin;
+    budgeted.param = 2;
+    budgeted.storage_budget = 8;
+    return budgeted;
+  };
+  sim::ShardedRuntime runtime(rcfg);
+  SequentialTally seq(rcfg.service);
+  auto keys = make_keys(4);
+  const std::vector<Entry> batch{1, 2, 3, 4, 5, 6};
+  for (const Key& key : keys) {
+    seq.service.place(key, batch);
+    runtime.place(key, batch);
+  }
+
+  const std::string add_error =
+      logic_error_of([&] { seq.service.add("budgeted", 7); });
+  ASSERT_NE(add_error, "");
+  runtime.add("budgeted", 7);
+  EXPECT_EQ(logic_error_of([&] { runtime.drain(); }), add_error);
+  EXPECT_TRUE(runtime.contains_key("budgeted"));
+
+  keys.push_back("budgeted");
+  const auto look = [&] {
+    for (std::size_t i = 0; i < 40; ++i) {
+      seq.lookup(keys[i % keys.size()], 2);
+      runtime.lookup(keys[i % keys.size()], 2);
+    }
+  };
+  look();
+  expect_matches(runtime, seq, keys);
+  seq.service.place("budgeted", batch);
+  runtime.place("budgeted", batch);
+  look();
+  expect_matches(runtime, seq, keys);
+}
+
+TEST(ShardedRuntime, ParkedWorkersWakeForEveryOp) {
+  // Every round leaves the workers idle long enough to park, so each op
+  // below is pushed to a parked worker and must wake it: a lost wake-up
+  // hangs drain() (and the ctest TIMEOUT turns that into a failure). The
+  // results must still match a sequential replay op for op.
+  sim::ShardedRuntimeConfig rcfg;
+  rcfg.shards = 4;
+  rcfg.service = base_config(core::StrategyKind::kRoundRobin, 2, 6, 29);
+  sim::ShardedRuntime runtime(rcfg);
+  SequentialTally seq(rcfg.service);
+  const auto keys = make_keys(12);
+  Rng rng(2029);
+  Entry next_entry = 1;
+
+  for (int round = 0; round < 200; ++round) {
+    const std::uint64_t ops = 1 + rng.uniform(3);
+    for (std::uint64_t o = 0; o < ops; ++o) {
+      const Key& key = keys[rng.uniform(keys.size())];
+      const auto server = static_cast<ServerId>(rng.uniform(6));
+      switch (rng.uniform(5)) {
+        case 0: {
+          const std::vector<Entry> batch{next_entry, next_entry + 1,
+                                         next_entry + 2};
+          next_entry += 3;
+          seq.service.place(key, batch);
+          runtime.place(key, batch);
+          break;
+        }
+        case 1:
+          seq.service.add(key, next_entry);
+          runtime.add(key, next_entry);
+          ++next_entry;
+          break;
+        case 2:
+          seq.lookup(key, 2);
+          runtime.lookup(key, 2);
+          break;
+        case 3:
+          seq.service.fail_server(server);
+          runtime.fail_server(server);
+          break;
+        default:
+          seq.service.recover_server(server);
+          runtime.recover_server(server);
+          break;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    runtime.drain();
+  }
+  expect_matches(runtime, seq, keys);
+  EXPECT_TRUE(runtime.shards_consistent());
 }
 
 }  // namespace

@@ -68,17 +68,21 @@ void run_fuzz(const FuzzParams& p) {
     }
   });
 
+  // The consumer reads each value in place and releases its slot after,
+  // as the runtime's workers do.
   std::size_t popped = 0;
-  std::uint64_t got = 0, want = 0;
+  std::uint64_t want = 0;
   Rng rng(p.seed ^ 0xabcdefULL);
   while (popped < p.total) {
-    if (!queue.try_pop(got)) {
+    const std::uint64_t* got = queue.front();
+    if (got == nullptr) {
       std::this_thread::yield();
       continue;
     }
     ASSERT_TRUE(oracle.pop(want)) << "ring produced a value the oracle "
                                      "never saw (pop " << popped << ")";
-    ASSERT_EQ(got, want) << "order or value diverged at pop " << popped;
+    ASSERT_EQ(*got, want) << "order or value diverged at pop " << popped;
+    queue.pop_front();
     ++popped;
     if (rng.next_u64() % 7 == 0) std::this_thread::yield();
   }

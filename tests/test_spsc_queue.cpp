@@ -23,12 +23,12 @@ TEST(SpscQueue, CapacityRoundsUpToPowerOfTwo) {
 TEST(SpscQueue, PushPopIsFifo) {
   SpscQueue<int> q(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(int(i)));
-  int out = -1;
   for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(q.try_pop(out));
-    EXPECT_EQ(out, i);
+    ASSERT_NE(q.front(), nullptr);
+    EXPECT_EQ(*q.front(), i);
+    q.pop_front();
   }
-  EXPECT_FALSE(q.try_pop(out));
+  EXPECT_EQ(q.front(), nullptr);
   EXPECT_TRUE(q.empty());
 }
 
@@ -41,25 +41,28 @@ TEST(SpscQueue, FullQueueRejectsWithoutConsumingTheValue) {
   // try_push must not move from the value on failure: the caller retries
   // with the same object (the runtime's backpressure loop relies on it).
   EXPECT_EQ(c, "still-mine");
-  std::string out;
-  EXPECT_TRUE(q.try_pop(out));
-  EXPECT_EQ(out, "a");
+  ASSERT_NE(q.front(), nullptr);
+  EXPECT_EQ(*q.front(), "a");
+  q.pop_front();
   EXPECT_TRUE(q.try_push(std::move(c)));
-  EXPECT_TRUE(q.try_pop(out));
-  EXPECT_EQ(out, "b");
-  EXPECT_TRUE(q.try_pop(out));
-  EXPECT_EQ(out, "still-mine");
+  ASSERT_NE(q.front(), nullptr);
+  EXPECT_EQ(*q.front(), "b");
+  q.pop_front();
+  ASSERT_NE(q.front(), nullptr);
+  EXPECT_EQ(*q.front(), "still-mine");
+  q.pop_front();
 }
 
 TEST(SpscQueue, WrapsAroundManyTimes) {
   // Free-running cursors: push/pop far more items than the capacity and
   // check FIFO order survives every wrap.
   SpscQueue<std::uint64_t> q(4);
-  std::uint64_t next_in = 0, next_out = 0, popped;
+  std::uint64_t next_in = 0, next_out = 0;
   for (int round = 0; round < 1000; ++round) {
     while (q.try_push(std::uint64_t(next_in))) ++next_in;
-    while (q.try_pop(popped)) {
-      EXPECT_EQ(popped, next_out);
+    while (const std::uint64_t* popped = q.front()) {
+      EXPECT_EQ(*popped, next_out);
+      q.pop_front();
       ++next_out;
     }
   }
@@ -71,12 +74,13 @@ TEST(SpscQueue, CarriesMoveOnlyPayloads) {
   SpscQueue<std::unique_ptr<int>> q(4);
   EXPECT_TRUE(q.try_push(std::make_unique<int>(41)));
   EXPECT_TRUE(q.try_push(std::make_unique<int>(42)));
-  std::unique_ptr<int> out;
-  EXPECT_TRUE(q.try_pop(out));
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(*out, 41);
-  EXPECT_TRUE(q.try_pop(out));
-  EXPECT_EQ(*out, 42);
+  ASSERT_NE(q.front(), nullptr);
+  ASSERT_NE(*q.front(), nullptr);
+  EXPECT_EQ(**q.front(), 41);
+  q.pop_front();
+  ASSERT_NE(q.front(), nullptr);
+  EXPECT_EQ(**q.front(), 42);
+  q.pop_front();
 }
 
 TEST(SpscQueue, DestructorDrainsUnpoppedValues) {
@@ -99,9 +103,61 @@ TEST(SpscQueue, SizeTracksOccupancy) {
   EXPECT_TRUE(q.try_push(1));
   EXPECT_TRUE(q.try_push(2));
   EXPECT_EQ(q.size(), 2u);
-  int out;
-  EXPECT_TRUE(q.try_pop(out));
+  ASSERT_NE(q.front(), nullptr);
+  q.pop_front();
   EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(SpscQueue, FrontLeavesTheValueInItsSlotUntilPopFront) {
+  // The consumer works on the value where it lies: front() neither moves
+  // nor releases it, so repeated calls see the same object, and writes
+  // through the pointer stick until pop_front().
+  SpscQueue<std::string> q(4);
+  EXPECT_EQ(q.front(), nullptr);
+  EXPECT_TRUE(q.try_push("op"));
+  std::string* first = q.front();
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(q.front(), first);
+  first->append("-ran");
+  EXPECT_EQ(*q.front(), "op-ran");
+  EXPECT_EQ(q.size(), 1u);
+  q.pop_front();
+  EXPECT_EQ(q.front(), nullptr);
+}
+
+TEST(SpscQueue, PopFrontDestroysTheValue) {
+  auto shared = std::make_shared<int>(3);
+  SpscQueue<std::shared_ptr<int>> q(4);
+  EXPECT_TRUE(q.try_push(std::shared_ptr<int>(shared)));
+  EXPECT_EQ(shared.use_count(), 2);
+  ASSERT_NE(q.front(), nullptr);
+  EXPECT_EQ(shared.use_count(), 2);  // front() took no copy
+  q.pop_front();
+  EXPECT_EQ(shared.use_count(), 1);
+}
+
+TEST(SpscQueue, DrainedOnlyOnceTheLastValueIsPopped) {
+  // empty() is the runtime's drain barrier: a value the consumer is still
+  // working on (seen by front(), not yet popped) keeps the ring non-empty.
+  SpscQueue<int> q(4);
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(q.try_push(1));
+  EXPECT_TRUE(q.try_push(2));
+  EXPECT_FALSE(q.empty());
+  ASSERT_NE(q.front(), nullptr);
+  q.pop_front();
+  ASSERT_NE(q.front(), nullptr);
+  EXPECT_FALSE(q.empty());
+  q.pop_front();
+  EXPECT_TRUE(q.empty());
+  // And again after a wrap: the cursors are free-running.
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_TRUE(q.try_push(int(i)));
+    ASSERT_NE(q.front(), nullptr);
+    EXPECT_FALSE(q.empty());
+    q.pop_front();
+    EXPECT_TRUE(q.empty());
+  }
 }
 
 }  // namespace

@@ -301,8 +301,9 @@ Options parse(int argc, char** argv) {
     std::cerr << *err << "\n";
     usage(2);
   }
-  opt.strat.multiprobe =
-      opt.strategy == pls::core::StrategyKind::kMultiProbe;
+  opt.strat.kind = opt.strategy;
+  opt.strat.param = opt.param;
+  opt.strat.servers = opt.servers;
   if (const auto err = pls::workload::validate_strategy_options(opt.strat)) {
     std::cerr << *err << "\n";
     usage(2);
